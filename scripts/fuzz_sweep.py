@@ -21,12 +21,12 @@ from revpinsker import (
 )
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--support-size", type=int, default=6)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     generators = [kl_generator(), tv_generator(), chi2_generator(),
                   hellinger_generator(0.5), hellinger_generator(3)]

@@ -44,10 +44,14 @@ def ternary_extremal(params: ClassParams) -> ExtremalPair:
     m, M, delta = params.m, params.M, params.delta
     q = (M - 1.0) / (M - m)
     p = m * q
+    # 1 - q and 1 - p formed without cancellation: subtracting q from 1
+    # loses the M-ratio atom's digits as m -> 1 or M -> inf
+    q_c = (1.0 - m) / (M - m)
+    p_c = M * q_c
     t = delta * (M - m) / ((M - 1.0) * (1.0 - m))
     t = min(t, 1.0)  # delta = cap gives t = 1 up to rounding
-    P = validate_distribution([t * p, t * (1.0 - p), max(0.0, 1.0 - t)])
-    Q = validate_distribution([t * q, t * (1.0 - q), max(0.0, 1.0 - t)])
+    P = validate_distribution([t * p, t * p_c, max(0.0, 1.0 - t)])
+    Q = validate_distribution([t * q, t * q_c, max(0.0, 1.0 - t)])
     return ExtremalPair(P=P, Q=Q, params=params, q=q, p=p, t=t)
 
 

@@ -8,7 +8,11 @@ feasibility predicate matches searchable reality.
 In-class sampling never uses rejection: a sample starts from the ternary
 extremal pair, splits each atom into randomly weighted sub-atoms sharing the
 parent's density ratio, then transfers mass between same-side atoms in ways
-that provably fix (delta, m, M).
+that provably fix (delta, m, M).  The sampler is vectorized over the rows of
+a batch: the split normalizes the weights with one ``np.bincount`` over
+(row, parent) cells, and each transfer step picks donor and recipient from
+the row's contiguous run of band members in ``np.flatnonzero(band)``, so a
+step costs O(trials) whatever the support size.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .distributions import Distribution, validate_distribution
 from .divergence import batch_f_divergence, f_divergence
 from .errors import Infeasible, InvalidParams
 from .extended import INF
-from .extremal import ternary_extremal, verify_membership
+from .extremal import ExtremalPair, ternary_extremal, verify_membership
 from .generators import Generator
 
 #: proxy threshold for "the supremum is infinite" in unconstrained sweeps
@@ -46,8 +50,8 @@ class SearchConfig:
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if not (2 <= self.support_size <= 12):
-            raise InvalidParams("support_size must be in [2, 12]")
+        if not (3 <= self.support_size <= 12):
+            raise InvalidParams("support_size must be in [3, 12]")
         if self.trials < 1:
             raise InvalidParams("trials must be positive")
         if not (0.0 < self.step_scale <= 1.0):
@@ -68,6 +72,7 @@ class SearchOutcome:
 
 def _sample_batch(
     params: ClassParams,
+    base: ExtremalPair,
     n: int,
     trials: int,
     rng: np.random.Generator,
@@ -76,66 +81,95 @@ def _sample_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked weight arrays (trials, n) of pairs lying exactly in the class.
 
-    Atom splitting preserves every ratio; the transfer moves keep each atom's
-    ratio inside its side's band ([m, 1] below, [1, M] above), keep one anchor
-    atom pinned at each extreme, and leave sum |p - q| unchanged.
+    ``base`` is ``ternary_extremal(params)``, built once by the caller and
+    shared by every chunk.
+
+    Split: each row keeps one anchor atom per parent atom of ``base`` (with
+    Q mass) and gives each other atom a random parent.  One ``np.bincount``
+    sums the exponential (gamma(1)) weights per (row, parent) cell; an atom
+    takes the share ``e / sums[cell]`` of its parent's P and Q mass, so it
+    keeps the parent's ratio.
+
+    Transfers: every non-anchor atom is on the low band (ratio in [m, 1]) or
+    on the high band ([1, M]).  A row's members of one band form a contiguous
+    run of ``np.flatnonzero(band)`` that starts at ``cumsum(counts) -
+    counts``; the runs are found once.  Each step draws, for every row with
+    at least two members in a band, a donor uniformly from the run and a
+    recipient uniformly from the rest of it, and moves
+    eps = max(u * step_scale * min(give, take), 0) of P mass between them
+    through a flat view of p.  A move keeps both ratios in the band, leaves
+    the anchors at m and M and leaves sum |p - q| unchanged; a step costs
+    O(trials) whatever n is.
     """
     if n < 3:
         raise InvalidParams("need support size n >= 3")
     if params.delta == 0.0:
-        e = rng.gamma(1.0, size=(trials, n))
+        e = rng.standard_exponential((trials, n))
         w = e / e.sum(axis=1, keepdims=True)
         return w, w.copy()
 
-    base = ternary_extremal(params)
-    parent_p = base.P.weights
-    parent_q = base.Q.weights
-    active = [k for k in range(3) if parent_q[k] > 0]
-    k0 = len(active)
+    active = np.flatnonzero(base.Q.weights > 0)
+    k0 = active.size
+    parent_p = base.P.weights[active]
+    parent_q = base.Q.weights[active]
 
-    labels = np.empty((trials, n), dtype=np.int64)
-    labels[:, :k0] = active
-    if n > k0:
-        labels[:, k0:] = rng.choice(active, size=(trials, n - k0))
+    # each atom gets a code: 2j or 2j + 1 for a free atom of parent j, and
+    # 2 k0 + j for parent j's anchor.  A free atom's band is its parent's
+    # side of 1, or code & 1 when the parent has ratio 1; drawing that side
+    # once keeps transfers from flipping an atom across 1, which would change
+    # |p - q|.  Anchors are on no band (-1) and never move.
+    parent_of = np.concatenate([np.arange(k0).repeat(2), np.arange(k0)])
+    side = active[parent_of]  # 0 below 1, 1 above 1, 2 at ratio 1
+    band_of = np.where(side == 2, np.arange(3 * k0) & 1, side)
+    band_of[2 * k0:] = -1
+    code = np.empty((trials, n), dtype=np.intp)
+    code[:, :k0] = np.arange(2 * k0, 3 * k0)
+    code[:, k0:] = rng.integers(0, 2 * k0, size=(trials, n - k0))
 
-    e = rng.gamma(1.0, size=(trials, n))
-    p = np.zeros((trials, n))
-    q = np.zeros((trials, n))
-    for k in active:
-        ek = np.where(labels == k, e, 0.0)
-        share = ek / ek.sum(axis=1, keepdims=True)
-        p += parent_p[k] * share
-        q += parent_q[k] * share
+    e = rng.standard_exponential((trials, n))
+    cell = parent_of[code]
+    cell += k0 * np.arange(trials)[:, None]
+    sums = np.bincount(cell.ravel(), weights=e.ravel(), minlength=k0 * trials)
+    sums = sums.reshape(trials, k0)
+    p = np.take((parent_p / sums).ravel(), cell)
+    p *= e
+    q = np.take((parent_q / sums).ravel(), cell)
+    q *= e
 
-    # ratio-1 atoms (label 2) are split between the two sides once, so that
-    # repeated transfers never flip an atom across 1 and change |p - q|
-    side = rng.integers(0, 2, size=(trials, n))
-    nonanchor = np.zeros((trials, n), dtype=bool)
-    nonanchor[:, k0:] = True
-    low_band = nonanchor & ((labels == 0) | ((labels == 2) & (side == 0)))
-    high_band = nonanchor & ((labels == 1) | ((labels == 2) & (side == 1)))
+    # the low band's runs, then the high band's, one run per row and band
+    band = band_of[code]
+    runs = [np.flatnonzero(band == k) for k in (0, 1)]
+    members = np.concatenate(runs)
+    counts = np.concatenate([np.bincount(r // n, minlength=trials) for r in runs])
+    start = np.cumsum(counts) - counts
+    ready = np.flatnonzero(counts >= 2)
+    count = counts[ready].astype(float)
+    start = start[ready]
+    # a member's ratio stays in [floor_q / q, ceil_q / q]:
+    # give = p - floor_q at the donor, take = ceil_q - p at the recipient
+    n_low = runs[0].size
+    floor_q = q.reshape(-1)[members]
+    ceil_q = floor_q.copy()
+    floor_q[:n_low] *= params.m
+    ceil_q[n_low:] *= params.M
 
-    rows = np.arange(trials)
-    m, M = params.m, params.M
-    for _ in range(max(0, steps)):
-        for band, lo_slack, hi_slack in (
-            (low_band, lambda pd, qd: pd - m * qd, lambda pr, qr: qr - pr),
-            (high_band, lambda pd, qd: pd - qd, lambda pr, qr: M * qr - pr),
-        ):
-            counts = band.sum(axis=1)
-            ready = counts >= 2
-            if not ready.any():
-                continue
-            scores = np.where(band, rng.random((trials, n)), -1.0)
-            donor = scores.argmax(axis=1)
-            scores[rows, donor] = -1.0
-            recipient = scores.argmax(axis=1)
-            give = lo_slack(p[rows, donor], q[rows, donor])
-            take = hi_slack(p[rows, recipient], q[rows, recipient])
-            eps = rng.random(trials) * step_scale * np.minimum(give, take)
-            eps = np.where(ready, np.maximum(eps, 0.0), 0.0)
-            p[rows, donor] -= eps
-            p[rows, recipient] += eps
+    pf = p.reshape(-1)
+    for _ in range(steps):
+        u = rng.random((3, ready.size))
+        # u < 1, so floor(u * count) < count for these small counts
+        d = (u[0] * count).astype(np.intp)
+        r = (u[1] * (count - 1.0)).astype(np.intp)
+        r += r >= d
+        d += start
+        r += start
+        donor = members[d]
+        recipient = members[r]
+        eps = np.minimum(pf[donor] - floor_q[d], ceil_q[r] - pf[recipient])
+        eps *= u[2]
+        eps *= step_scale
+        np.maximum(eps, 0.0, out=eps)
+        pf[donor] -= eps
+        pf[recipient] += eps
     return p, q
 
 
@@ -147,7 +181,9 @@ def sample_pair_in_class(
         raise Infeasible(f"empty class: {params}")
     cfg = config or SearchConfig()
     rng = np.random.default_rng(seed)
-    p, q = _sample_batch(params, n, 1, rng, cfg.perturbation_steps, cfg.step_scale)
+    p, q = _sample_batch(
+        params, ternary_extremal(params), n, 1, rng, cfg.perturbation_steps, cfg.step_scale
+    )
     return validate_distribution(p[0]), validate_distribution(q[0])
 
 
@@ -166,7 +202,7 @@ def search_sup(
     if not feasible(params):
         raise Infeasible(f"empty class: {params}")
     bound = theorem1_bound(gen, params)
-    n = max(3, config.support_size)
+    ext = ternary_extremal(params)
     rng = np.random.default_rng(config.seed)
 
     best_value = -INF
@@ -176,7 +212,8 @@ def search_sup(
     while remaining > 0:
         batch = min(remaining, 20_000)
         p, q = _sample_batch(
-            params, n, batch, rng, config.perturbation_steps, config.step_scale
+            params, ext, config.support_size, batch, rng,
+            config.perturbation_steps, config.step_scale,
         )
         values = batch_f_divergence(gen, p, q)
         violations += int(np.count_nonzero(values > bound + config.tolerance))
@@ -187,7 +224,6 @@ def search_sup(
         remaining -= batch
 
     if seed_extremal:
-        ext = ternary_extremal(params)
         v = f_divergence(gen, ext.P, ext.Q)
         if v > bound + config.tolerance:
             violations += 1
@@ -307,6 +343,6 @@ def falsify_feasibility(
     must defeat the penalized member search.
     """
     if feasible(params):
-        P, Q = sample_pair_in_class(params, max(3, config.support_size), config.seed, config)
+        P, Q = sample_pair_in_class(params, config.support_size, config.seed, config)
         return verify_membership(P, Q, params, tol=1e-9).passed
     return not _search_for_member(params, config, match_tol)

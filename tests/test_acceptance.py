@@ -78,7 +78,8 @@ def test_criterion_2_soundness_fuzz():
     violations = 0
     for i, params in enumerate(GRID):
         n = 3 + (i % 6)  # support sizes 3..8
-        p, q = _sample_batch(params, n, 10_000, rng, steps=4, step_scale=0.9)
+        p, q = _sample_batch(params, ternary_extremal(params), n, 10_000, rng,
+                             steps=4, step_scale=0.9)
         for gen in FIVE_GENERATORS:
             bound = theorem1_bound(gen, params)
             values = batch_f_divergence(gen, p, q)

@@ -166,6 +166,12 @@ class TestFuzz:
                      "--M", "2", "--trials", "10", "--seed", "0")
         assert result.returncode == 2
 
+    def test_support_size_below_three_exit_2(self):
+        result = run("fuzz", "--div", "kl", "--delta", "0.25", "--m", "0.5",
+                     "--M", "2", "--trials", "10", "--seed", "0", "--n", "2")
+        assert result.returncode == 2
+        assert result.stdout == ""
+
 
 class TestFormats:
     def test_csv_format_same_values(self):

@@ -69,6 +69,17 @@ def test_construction_matches_class_parameters():
         assert M == pytest.approx(params.M, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("m, M", [(0.98046875, 766828.0), (1.0 - 1e-6, 1e6)])
+def test_construction_near_m_one_with_large_M(m, M):
+    # 1 - q = (1 - m)/(M - m) is tiny here; forming it as 1 - q loses digits
+    params = ClassParams(tv_cap(m, M), m, M)
+    pair = ternary_extremal(params)
+    delta, m_hat, M_hat = measure_pair(pair.P, pair.Q)
+    assert delta == pytest.approx(params.delta, abs=1e-12)
+    assert m_hat == pytest.approx(m, abs=1e-12)
+    assert M_hat == pytest.approx(M, rel=1e-12)
+
+
 @pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: g.name)
 def test_attainment_on_grid(gen):
     for params in default_grid():

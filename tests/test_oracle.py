@@ -14,11 +14,12 @@ from revpinsker import (
     sample_pair_in_class,
     search_sup,
     search_unconstrained_sup,
+    ternary_extremal,
     tv_generator,
     verify_membership,
 )
 from revpinsker.errors import Infeasible, InvalidParams
-from revpinsker.oracle import DIVERGENCE_THRESHOLD
+from revpinsker.oracle import DIVERGENCE_THRESHOLD, _sample_batch
 
 PARAMS = ClassParams(0.25, 0.5, 2.0)
 
@@ -57,6 +58,43 @@ class TestSamplePair:
         b = sample_pair_in_class(PARAMS, 6, 42)
         np.testing.assert_array_equal(a[0].weights, b[0].weights)
         np.testing.assert_array_equal(a[1].weights, b[1].weights)
+
+
+class TestSampleBatch:
+    INTERIOR = ClassParams(0.2, 0.3, 5.0)
+
+    def ratios(self, steps, n):
+        params = self.INTERIOR
+        rng = np.random.default_rng(17)
+        p, q = _sample_batch(params, ternary_extremal(params), n, 500, rng, steps, 0.9)
+        return p / q
+
+    def test_split_alone_keeps_parent_ratios(self):
+        r = self.ratios(steps=0, n=8)
+        m, M = self.INTERIOR.m, self.INTERIOR.M
+        on_parent = np.isclose(r, m, rtol=1e-12) | np.isclose(r, 1.0, rtol=1e-12)
+        assert np.all(on_parent | np.isclose(r, M, rtol=1e-12))
+
+    def test_transfers_move_ratios_into_the_bands(self):
+        # a sampler whose transfers moved no mass would still be in class.
+        # About 2/3 of rows get an interior ratio here: a row whose band
+        # members all sit at an extreme ratio has no slack to move.
+        r = self.ratios(steps=4, n=8)
+        m, M = self.INTERIOR.m, self.INTERIOR.M
+        tol = 1e-9
+        inside = ((r > m + tol) & (r < 1.0 - tol)) | ((r > 1.0 + tol) & (r < M - tol))
+        assert inside.any(axis=1).mean() >= 0.5
+
+
+class TestSearchConfig:
+    @pytest.mark.parametrize("n", [2, 13])
+    def test_support_size_out_of_range(self, n):
+        with pytest.raises(InvalidParams):
+            SearchConfig(support_size=n)
+
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_support_size_limits_accepted(self, n):
+        assert SearchConfig(support_size=n).support_size == n
 
 
 class TestSearchSup:

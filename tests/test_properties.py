@@ -15,12 +15,14 @@ from revpinsker import (
     kl_generator,
     measure_pair,
     ratio_extremes,
+    ternary_extremal,
     theorem1_bound,
     total_variation,
     tv_cap,
     tv_generator,
     validate_distribution,
 )
+from revpinsker.oracle import _sample_batch
 
 GENERATORS = [
     kl_generator(),
@@ -133,3 +135,43 @@ def test_chord_dominance(points, raw_weights):
             continue
         sample_mean = float(np.dot(probs, values))
         assert sample_mean <= chord_bound(gen, a, b, mean) + 1e-12
+
+
+def class_deviation(params, p, q):
+    """Per row: (|delta' - delta|, |m' - m|, |M' - M| / M) of stacked pairs.
+
+    M' is compared relative to M: an M near 1e6 carries rounding of a few
+    1e-10 in absolute terms whatever the sampler does."""
+    support = q > 0
+    ratio = p / np.where(support, q, 1.0)
+    m = np.minimum(np.where(support, ratio, np.inf).min(axis=1), 1.0)
+    M = np.maximum(np.where(support, ratio, -np.inf).max(axis=1), 1.0)
+    delta = 0.5 * np.abs(p - q).sum(axis=1)
+    return (np.abs(delta - params.delta), np.abs(m - params.m),
+            np.abs(M - params.M) / params.M)
+
+
+@given(
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.floats(min_value=1.0, max_value=1e6, exclude_min=True),
+    # delta stays above ~1e-232; near 1e-300 the atoms' weights go subnormal
+    # and their ratios lose digits, a float limit rather than a sampler fault
+    st.floats(min_value=1e-200, max_value=1.0),
+    st.integers(min_value=3, max_value=12),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_sampled_rows_lie_in_class(m, M, cap_fraction, n, steps, seed):
+    # delta ranges over (0, cap]; every sampled row must be a pair of
+    # distributions in exactly this class
+    params = ClassParams(cap_fraction * tv_cap(m, M), m, M)
+    rng = np.random.default_rng(seed)
+    p, q = _sample_batch(params, ternary_extremal(params), n, 64, rng, steps, 0.9)
+    assert p.shape == q.shape == (64, n)
+    assert not np.any((q == 0.0) & (p > 0.0))  # absolutely continuous
+    assert np.all(p >= 0.0) and np.all(q >= 0.0)
+    np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(q.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    for dev in class_deviation(params, p, q):
+        assert dev.max() <= 1e-9
