@@ -2,37 +2,34 @@
 """Emit CSV tables comparing the optimal bounds against prior comparators.
 
 Writes one table per comparator (simic, sason-chi2, sason-renyi, verdu) to
---outdir, each over the default parameter grid, and prints a one-line summary
-of the worst and mean prior/new ratio per comparator.
+--outdir, each over the default parameter grid and byte-identical to what
+`revpinsker compare` prints, and prints a one-line summary of the worst and
+mean prior/new ratio per comparator.  Runs in process.
 """
 
 import argparse
 import pathlib
-import subprocess
-import sys
 
+from revpinsker.cli import COMPARE_HEADER, comparison_rows, csv_row
 
 COMPARATORS = ("simic", "sason-chi2", "sason-renyi", "verdu")
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=pathlib.Path, default=pathlib.Path("tables"))
     parser.add_argument("--alpha", type=float, default=2.0,
                         help="Renyi order for the sason-renyi table")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     for comparator in COMPARATORS:
-        cmd = [sys.executable, "-m", "revpinsker", "compare",
-               "--grid", "default", "--comparator", comparator,
-               "--alpha", str(args.alpha)]
-        out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
+        rows = list(comparison_rows(comparator, args.alpha))
         path = args.outdir / f"compare_{comparator.replace('-', '_')}.csv"
-        path.write_text(out)
+        lines = [COMPARE_HEADER] + [csv_row(row) for row in rows]
+        path.write_text("\n".join(lines) + "\n")
 
-        ratios = [float(line.split(",")[5]) for line in out.splitlines()[1:]
-                  if line.split(",")[5] != "inf"]
+        ratios = [row[5] for row in rows if row[5] != float("inf")]
         finite = f"max ratio {max(ratios):.4g}, mean {sum(ratios) / len(ratios):.4g}"
         print(f"{comparator:>12}: {len(ratios)} finite rows, {finite} -> {path}")
     return 0

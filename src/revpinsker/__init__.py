@@ -7,7 +7,6 @@ and tightness.
 """
 
 from .bounds import (
-    BoundReport,
     ClassParams,
     chord_slope_gap,
     corollary1_bound,
@@ -34,7 +33,7 @@ from .divergence import (
     measure_pair,
     renyi_from_hellinger,
 )
-from .extended import INF, as_extended, ext_add, ext_mul
+from .extended import INF, as_extended, ext_add
 from .extremal import ExtremalPair, PairReport, ternary_extremal, verify_membership
 from .generators import (
     Generator,
@@ -55,7 +54,6 @@ from .oracle import (
 )
 
 __all__ = [
-    "BoundReport",
     "ClassParams",
     "Distribution",
     "ExtremalPair",
@@ -73,7 +71,6 @@ __all__ = [
     "custom_generator",
     "default_grid",
     "ext_add",
-    "ext_mul",
     "f_divergence",
     "falsify_feasibility",
     "feasible",

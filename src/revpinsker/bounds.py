@@ -5,6 +5,11 @@ density-ratio extremes (m, M).  The supremum of D_f over that class is
 delta * (f(m)/(1-m) + f(M)/(M-1)); dropping the delta constraint or the (m, M)
 constraint gives the two corollary bounds.  Weaker published comparators
 (Simic for KL, Sason for chi-squared) are provided for dominance tables.
+
+Every function that needs a non-empty class with finite M asks the one class
+guard, ``ClassParams.check_finite``, which raises Infeasible and then
+UnboundedM.  The raw-float domain checks on delta and on 0 <= m <= 1 <= M
+each have one helper, shared by ``ClassParams`` and the float-argument bounds.
 """
 
 from __future__ import annotations
@@ -16,8 +21,21 @@ from .errors import Infeasible, InvalidAlpha, InvalidParams, LogDomain, Unbounde
 from .extended import INF, as_extended, ext_add
 from .generators import Generator
 
-#: relative slack when comparing a measured delta against the feasibility cap
+#: rounding slack of the feasibility test: relative on the total-variation
+#: cap, absolute on M - m when m or M is 1
 FEASIBILITY_SLACK = 1e-9
+
+
+def _check_delta(delta: float) -> None:
+    """Raise InvalidParams unless the total variation delta is in [0, 1]."""
+    if not (0.0 <= delta <= 1.0):
+        raise InvalidParams(f"delta must be in [0,1], got {delta!r}")
+
+
+def _check_ratio_extremes(m: float, M: float) -> None:
+    """Raise InvalidParams unless the ratio extremes obey 0 <= m <= 1 <= M."""
+    if not (0.0 <= m <= 1.0 <= M):
+        raise InvalidParams(f"need 0 <= m <= 1 <= M, got m={m!r}, M={M!r}")
 
 
 @dataclass(frozen=True)
@@ -36,30 +54,25 @@ class ClassParams:
         object.__setattr__(self, "delta", as_extended(self.delta))
         object.__setattr__(self, "m", as_extended(self.m))
         object.__setattr__(self, "M", as_extended(self.M))
-        if not (0.0 <= self.delta <= 1.0):
-            raise InvalidParams(f"delta must be in [0,1], got {self.delta!r}")
-        if not (0.0 <= self.m <= 1.0 <= self.M):
-            raise InvalidParams(f"need 0 <= m <= 1 <= M, got m={self.m!r}, M={self.M!r}")
-        if math.isinf(self.delta) or math.isinf(self.m):
-            raise InvalidParams("delta and m must be finite")
+        _check_delta(self.delta)
+        _check_ratio_extremes(self.m, self.M)
 
-
-@dataclass(frozen=True)
-class BoundReport:
-    """A computed bound together with its provenance."""
-
-    bound: float
-    params: ClassParams
-    generator_name: str
-    formula: str
+    def check_finite(self) -> None:
+        """The one class guard: raise Infeasible when no pair has these
+        parameters, then UnboundedM when M = +inf."""
+        if not feasible(self):
+            raise Infeasible(f"empty class: {self}")
+        if self.M == INF:
+            raise UnboundedM(
+                f"need M < inf, got {self}; vajda_bound and kl_bound_ab cover M = +inf"
+            )
 
 
 def tv_cap(m: float, M: float) -> float:
     """Largest total variation compatible with ratio extremes (m, M):
     (M-1)(1-m)/(M-m), read as 1-m when M = +inf and 0 when m = M = 1."""
     m, M = float(m), float(M)
-    if not (0.0 <= m <= 1.0 <= M):
-        raise InvalidParams(f"need 0 <= m <= 1 <= M, got m={m!r}, M={M!r}")
+    _check_ratio_extremes(m, M)
     if M == INF:
         return 1.0 - m
     if m == 1.0 or M == 1.0:
@@ -71,11 +84,13 @@ def feasible(params: ClassParams) -> bool:
     """Whether any pair (P, Q) has exactly these (delta, m, M).
 
     True iff m = M = 1 with delta = 0, or m < 1 < M with 0 < delta <= cap.
-    The cap comparison carries a tiny relative slack so that measured
-    parameters of a real pair are never rejected by rounding.
+    Measured parameters of a real pair are never rejected by rounding: the
+    cap comparison carries a tiny relative slack, and when m or M is 1 the
+    class with delta = 0 is accepted for M - m <= FEASIBILITY_SLACK (a pair
+    that differs only in its last bits can measure m = 1, M = 1 + 2**-52).
     """
     if params.m == 1.0 or params.M == 1.0:
-        return params.m == 1.0 and params.M == 1.0 and params.delta == 0.0
+        return params.delta == 0.0 and params.M - params.m <= FEASIBILITY_SLACK
     if params.delta <= 0.0:
         return False
     cap = tv_cap(params.m, params.M)
@@ -101,12 +116,9 @@ def chord_slope_gap(gen: Generator, m: float, M: float) -> float:
 def theorem1_bound(gen: Generator, params: ClassParams) -> float:
     """sup of D_f over pairs with total variation delta and ratio extremes
     (m, M).  Zero when m = 1 or M = 1 (the class then forces P = Q)."""
-    if not feasible(params):
-        raise Infeasible(f"empty class: {params}")
+    params.check_finite()
     if params.m == 1.0 or params.M == 1.0:
         return 0.0
-    if params.M == INF:
-        raise UnboundedM("use vajda_bound or kl_bound_ab when M = +inf")
     coeff = chord_slope_gap(gen, params.m, params.M)
     if coeff == INF:
         return INF
@@ -117,8 +129,7 @@ def corollary1_bound(gen: Generator, m: float, M: float) -> float:
     """sup of D_f over all pairs with ratio extremes (m, M), any delta:
     ((M-1) f(m) + (1-m) f(M)) / (M - m)."""
     m, M = float(m), float(M)
-    if not (0.0 <= m <= 1.0 <= M):
-        raise InvalidParams(f"need 0 <= m <= 1 <= M, got m={m!r}, M={M!r}")
+    _check_ratio_extremes(m, M)
     if M == INF:
         raise UnboundedM("Corollary requires M < inf; compose vajda_bound instead")
     if m == 1.0 and M == 1.0:
@@ -136,8 +147,7 @@ def vajda_bound(gen: Generator, delta: float) -> float:
     """Range-of-values bound: sup of D_f at fixed total variation delta,
     equal to delta * (f(0+) + f'(inf)); +inf when either limit is."""
     delta = float(delta)
-    if not (0.0 <= delta <= 1.0):
-        raise InvalidParams(f"delta must be in [0,1], got {delta!r}")
+    _check_delta(delta)
     if delta == 0.0:
         return 0.0
     s = ext_add(gen.f_at_zero, gen.slope_at_infinity)
@@ -164,8 +174,7 @@ def kl_bound_ab(delta: float, a: float, b: float) -> float:
     """Optimal KL bound in the reciprocal parameters a = 1/M, b = 1/m:
     delta * (log(a)/(a-1) + log(b)/(1-b)); b = +inf drops the second term."""
     delta, a, b = float(delta), float(a), float(b)
-    if not (0.0 <= delta <= 1.0):
-        raise InvalidParams(f"delta must be in [0,1], got {delta!r}")
+    _check_delta(delta)
     if not (0.0 < a <= 1.0 <= b):
         raise InvalidParams(f"need 0 < a <= 1 <= b, got a={a!r}, b={b!r}")
     # log(b)/(1-b) = -log_over_x_minus_1(b); the b = +inf limit is 0
@@ -178,12 +187,9 @@ def renyi_bound(alpha: float, params: ClassParams) -> float:
     alpha = float(alpha)
     if not (alpha > 0.0) or alpha == 1.0 or math.isinf(alpha):
         raise InvalidAlpha(f"alpha must be in (0,1) or (1,inf), got {alpha}")
-    if not feasible(params):
-        raise Infeasible(f"empty class: {params}")
+    params.check_finite()
     if params.m == 1.0 or params.M == 1.0:
         return 0.0
-    if params.M == INF:
-        raise UnboundedM("Renyi bound requires M < inf")
     m, M = params.m, params.M
     inner = (M**alpha - 1.0) / (M - 1.0) - (1.0 - m**alpha) / (1.0 - m)
     arg = 1.0 + params.delta * inner
@@ -206,10 +212,7 @@ def simic_kl_bound(a: float, b: float) -> float:
 def sason_chi2_bound(params: ClassParams) -> float:
     """Sason's chi-squared comparator 2 * delta * max(M-1, 1-m); dominated
     by the optimal delta * (M - m)."""
-    if not feasible(params):
-        raise Infeasible(f"empty class: {params}")
-    if params.M == INF:
-        raise UnboundedM("comparator requires M < inf")
+    params.check_finite()
     return 2.0 * params.delta * max(params.M - 1.0, 1.0 - params.m)
 
 

@@ -95,42 +95,35 @@ def _resolve_divergence(spec: str):
     raise ParseError(f"unknown divergence {spec!r}")
 
 
-def _fmt_json(x):
-    if isinstance(x, float):
-        if x == INF:
-            return "inf"
-        if x == -INF:
-            return "-inf"
-        return float(f"{x:.17g}")
-    if isinstance(x, (list, tuple)):
-        return [_fmt_json(v) for v in x]
+def _fmt(x, csv: bool):
+    """An output value.  Floats keep their exact repr in JSON and get 12
+    significant digits in CSV; an infinity is the text "inf" or "-inf" in
+    both, since JSON has no literal for it.  CSV joins a list with ";"."""
     if isinstance(x, dict):
-        return {k: _fmt_json(v) for k, v in x.items()}
-    return x
-
-
-def _fmt_csv(x) -> str:
-    if isinstance(x, float):
-        if x == INF:
-            return "inf"
-        if x == -INF:
-            return "-inf"
-        return f"{x:.12g}"
+        return {k: _fmt(v, csv) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return ";".join(_fmt_csv(v) for v in x)
-    return str(x)
+        items = [_fmt(v, csv) for v in x]
+        return ";".join(items) if csv else items
+    if isinstance(x, float) and (csv or math.isinf(x)):
+        return f"{x:.12g}"
+    return str(x) if csv else x
+
+
+def csv_row(values) -> str:
+    """One CSV line of numbers, formatted as every CSV output is."""
+    return ",".join(_fmt(v, csv=True) for v in values)
 
 
 def _emit_record(record: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(_fmt_json(record)))
+        print(json.dumps(_fmt(record, csv=False)))
     else:
         print("key,value")
         for section in ("command", "status"):
             print(f"{section},{record[section]}")
         for section in ("inputs", "results"):
             for key, value in record[section].items():
-                print(f"{section}.{key},{_fmt_csv(value)}")
+                print(f"{section}.{key},{_fmt(value, csv=True)}")
 
 
 def _record(command: str, inputs: dict, results: dict, status: str = "n/a") -> dict:
@@ -235,45 +228,48 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _comparison_rows(comparator: str, alpha: float):
-    """Yield (inputs, new_bound, prior_bound) rows over the default grid."""
-    kl = kl_generator()
-    if comparator == "simic":
-        seen = set()
-        for params in default_grid():
-            key = (params.m, params.M)
-            if params.m <= 0.0 or key in seen:
-                continue
-            seen.add(key)
-            new = corollary1_bound(kl, params.m, params.M)
-            prior = simic_kl_bound(1.0 / params.M, 1.0 / params.m)
-            yield (params.m, params.M, tv_cap(params.m, params.M)), new, prior
-        return
+COMPARE_HEADER = "m,M,delta,new_bound,prior_bound,ratio"
+
+
+def comparison_rows(comparator: str, alpha: float):
+    """Yield the (m, M, delta, new_bound, prior_bound, ratio) rows of one
+    comparison table over the default grid, the rows ``compare`` prints
+    under COMPARE_HEADER."""
+    kl, chi2 = kl_generator(), chi2_generator()
+    seen = set()
     for params in default_grid():
-        row = (params.m, params.M, params.delta)
-        if comparator == "sason-chi2":
-            yield row, params.delta * (params.M - params.m), sason_chi2_bound(params)
+        m, M, delta = params.m, params.M, params.delta
+        if comparator == "simic":
+            # one row per (m, M), at the cap
+            if m <= 0.0 or (m, M) in seen:
+                continue
+            seen.add((m, M))
+            delta = tv_cap(m, M)
+            new = corollary1_bound(kl, m, M)
+            prior = simic_kl_bound(1.0 / M, 1.0 / m)
+        elif comparator == "sason-chi2":
+            new = theorem1_bound(chi2, params)
+            prior = sason_chi2_bound(params)
         elif comparator == "verdu":
             new = theorem1_bound(kl, params)
-            prior = kl_bound_ab(params.delta, 1.0 / params.M, INF)
-            yield row, new, prior
+            prior = kl_bound_ab(delta, 1.0 / M, INF)
         elif comparator == "sason-renyi":
             new = renyi_bound(alpha, params)
-            prior = renyi_bound(alpha, ClassParams(params.delta, 0.0, params.M))
-            yield row, new, prior
+            prior = renyi_bound(alpha, ClassParams(delta, 0.0, M))
         else:
             raise ParseError(f"unknown comparator {comparator!r}")
+        yield m, M, delta, new, prior, prior / new if new > 0 else INF
 
 
 def _cmd_compare(args) -> int:
     if args.grid != "default":
         raise ParseError("only --grid default is supported")
-    print("m,M,delta,new_bound,prior_bound,ratio")
+    print(COMPARE_HEADER)
     ok = True
-    for (m, M, delta), new, prior in _comparison_rows(args.comparator, args.alpha):
-        ratio = prior / new if new > 0 else INF
+    for row in comparison_rows(args.comparator, args.alpha):
+        new, prior = row[3:5]
         ok = ok and prior >= new - 1e-12
-        print(",".join(_fmt_csv(v) for v in (m, M, delta, new, prior, ratio)))
+        print(csv_row(row))
     return EXIT_OK if ok else EXIT_VIOLATION
 
 

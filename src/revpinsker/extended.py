@@ -1,10 +1,10 @@
 """Extended-real arithmetic on plain floats.
 
 Values live in [-inf, +inf] and are represented as IEEE doubles with the two
-infinities; NaN is never a legal value.  Operations that have no extended-real
-meaning (inf - inf, 0 * inf) raise instead of silently producing NaN.  The one
-contextual exception, 0 * f(0) inside a divergence sum, is handled at the call
-site by skipping zero-weight terms, never here.
+infinities; NaN is never a legal value.  A sum that has no extended-real
+meaning (inf - inf) raises instead of silently producing NaN.  The product
+0 * f(0) inside a divergence sum is handled at the call site by skipping
+zero-weight terms, never here.
 """
 
 import math
@@ -27,10 +27,3 @@ def ext_add(x: float, y: float) -> float:
     if math.isinf(x) and math.isinf(y) and x != y:
         raise UndefinedExtendedValue("(+inf) + (-inf) is undefined")
     return x + y
-
-
-def ext_mul(x: float, y: float) -> float:
-    x, y = as_extended(x), as_extended(y)
-    if (x == 0.0 and math.isinf(y)) or (y == 0.0 and math.isinf(x)):
-        raise UndefinedExtendedValue("0 * inf is undefined in general arithmetic")
-    return x * y

@@ -1,13 +1,16 @@
-"""Ternary extremal pairs attaining the optimal bound, and pair verification."""
+"""Ternary extremal pairs attaining the optimal bound, and pair verification.
+
+``ternary_extremal`` accepts the classes that pass the one class guard,
+``ClassParams.check_finite``: non-empty, with finite M.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bounds import ClassParams, feasible, theorem1_bound
+from .bounds import ClassParams, theorem1_bound
 from .distributions import Distribution, validate_distribution
 from .divergence import f_divergence, measure_pair
-from .errors import Infeasible, UnboundedM
 from .extended import INF
 from .generators import Generator
 
@@ -34,10 +37,7 @@ def ternary_extremal(params: ClassParams) -> ExtremalPair:
 
     The degenerate class (delta = 0, m = M = 1) returns the one-atom pair
     P = Q = (1.0)."""
-    if not feasible(params):
-        raise Infeasible(f"empty class: {params}")
-    if params.M == INF:
-        raise UnboundedM("no finite extremal pair for M = +inf")
+    params.check_finite()
     if params.delta == 0.0:
         point = validate_distribution([1.0])
         return ExtremalPair(P=point, Q=point, params=params, q=0.0, p=0.0, t=0.0)

@@ -8,7 +8,6 @@ limits are what the closed-form bounds need at the edges m = 0 and M = inf.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -35,9 +34,10 @@ _CONVEXITY_SEED = 0x5EC4
 class Generator:
     """Convex generator with its limits at 0 and infinity.
 
-    ``fn`` maps t in (0, inf) to f(t) and should accept numpy arrays (scalar
-    callables are wrapped on demand by :meth:`evaluate`).  ``mp_fn``, when
-    present, is an mpmath-safe twin used for sweeps beyond float range.
+    ``fn`` maps t in (0, inf) to f(t) and must accept numpy arrays, acting
+    elementwise; :func:`custom_generator` wraps a scalar-only callable once,
+    with ``np.vectorize``.  ``mp_fn``, when present, is an mpmath-safe twin
+    used for sweeps beyond float range.
     """
 
     name: str
@@ -51,25 +51,14 @@ class Generator:
         t = float(t)
         if t == 0.0:
             return self.f_at_zero
-        if t == INF:
-            # only meaningful when the slope at infinity is +inf or 0
-            return INF if self.slope_at_infinity > 0 else self.fn(t)
+        # at t = +inf only meaningful when the slope at infinity is +inf or 0
+        if t == INF and self.slope_at_infinity > 0:
+            return INF
         return float(self.fn(t))
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on strictly positive inputs."""
-        t = np.asarray(t, dtype=float)
-        try:
-            with warnings.catch_warnings():
-                # scalar-only callables silently "work" on size-1 arrays via a
-                # deprecated array-to-scalar cast; force them onto the fallback
-                warnings.simplefilter("error", DeprecationWarning)
-                out = np.asarray(self.fn(t), dtype=float)
-            if out.shape != t.shape:
-                raise ValueError
-            return out
-        except Exception:
-            return np.vectorize(self.fn, otypes=[float])(t)
+        return np.asarray(self.fn(np.asarray(t, dtype=float)), dtype=float)
 
 
 def kl_generator() -> Generator:
@@ -130,6 +119,15 @@ def _convexity_triples(rng: np.random.Generator, count: int) -> np.ndarray:
     return pts
 
 
+def _accepts_arrays(f: Callable) -> bool:
+    """Whether f maps an array of inputs to an array of the same shape."""
+    probe = np.array([0.5, 2.0])
+    try:
+        return np.shape(f(probe)) == probe.shape
+    except Exception:
+        return False
+
+
 def custom_generator(
     f: Callable[[float], float],
     f_at_zero: float,
@@ -140,7 +138,9 @@ def custom_generator(
 
     Convexity and the f(1) = 0 anchor are sample-checked (64 deterministic
     log-uniform chords); this guards against obvious mistakes, it is not a
-    proof.  f(0+) = -inf is rejected outright.
+    proof.  f(0+) = -inf is rejected outright.  A callable that does not
+    take arrays is wrapped once with ``np.vectorize``, so ``evaluate`` is a
+    direct call either way.
     """
     f_at_zero = as_extended(f_at_zero)
     slope_at_infinity = as_extended(slope_at_infinity)
@@ -158,6 +158,8 @@ def custom_generator(
             raise FailsConvexitySample(
                 f"midpoint convexity violated on ({s!r}, {u!r})"
             )
+    if not _accepts_arrays(f):
+        f = np.vectorize(f, otypes=[float])
     return Generator(
         name=name, fn=f, f_at_zero=f_at_zero, slope_at_infinity=slope_at_infinity
     )

@@ -13,6 +13,11 @@ a batch: the split normalizes the weights with one ``np.bincount`` over
 (row, parent) cells, and each transfer step picks donor and recipient from
 the row's contiguous run of band members in ``np.flatnonzero(band)``, so a
 step costs O(trials) whatever the support size.
+
+The oracle adds no class checks of its own: ``theorem1_bound`` and
+``ternary_extremal`` ask the one class guard, ``ClassParams.check_finite``.
+Only ``falsify_feasibility`` calls ``feasible``, to test it against an
+independent member search.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 from .bounds import ClassParams, feasible, theorem1_bound, tv_cap, vajda_bound
 from .distributions import Distribution, validate_distribution
 from .divergence import batch_f_divergence, f_divergence
-from .errors import Infeasible, InvalidParams
+from .errors import InvalidParams
 from .extended import INF
 from .extremal import ExtremalPair, ternary_extremal, verify_membership
 from .generators import Generator
@@ -177,8 +182,6 @@ def sample_pair_in_class(
     params: ClassParams, n: int, seed: int, config: SearchConfig | None = None
 ) -> tuple[Distribution, Distribution]:
     """One pair with measured (delta, m, M) matching params to ~1e-9."""
-    if not feasible(params):
-        raise Infeasible(f"empty class: {params}")
     cfg = config or SearchConfig()
     rng = np.random.default_rng(seed)
     p, q = _sample_batch(
@@ -199,8 +202,6 @@ def search_sup(
     configured tolerance.  Tightness: with the extremal pair seeded, the gap
     at the best pair is numerically zero.
     """
-    if not feasible(params):
-        raise Infeasible(f"empty class: {params}")
     bound = theorem1_bound(gen, params)
     ext = ternary_extremal(params)
     rng = np.random.default_rng(config.seed)

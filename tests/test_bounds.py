@@ -5,6 +5,7 @@ import pytest
 from revpinsker import (
     INF,
     ClassParams,
+    SearchConfig,
     chord_slope_gap,
     corollary1_bound,
     default_grid,
@@ -16,7 +17,9 @@ from revpinsker import (
     log_over_x_minus_1,
     renyi_bound,
     renyi_from_hellinger,
+    sample_pair_in_class,
     sason_chi2_bound,
+    search_sup,
     simic_kl_bound,
     ternary_extremal,
     theorem1_bound,
@@ -60,6 +63,45 @@ class TestFeasible:
     def test_one_sided_degenerate_is_empty(self):
         assert not feasible(ClassParams(0.1, 1.0, 2.0))
         assert not feasible(ClassParams(0.1, 0.5, 1.0))
+        assert not feasible(ClassParams(0.0, 1.0, 2.0))
+        assert not feasible(ClassParams(0.0, 0.5, 1.0))
+        assert not feasible(ClassParams(0.0, 1.0, INF))
+
+    def test_degenerate_accepts_rounding_of_one(self):
+        # a measured pair can give m = 1 and M = 1 + 2**-52 with delta = 0
+        assert feasible(ClassParams(0.0, 1.0, 1.0 + 2.0**-52))
+        assert feasible(ClassParams(0.0, 1.0 - 2.0**-53, 1.0))
+        assert not feasible(ClassParams(1e-22, 1.0, 1.0 + 2.0**-52))
+        assert theorem1_bound(KL, ClassParams(0.0, 1.0, 1.0 + 2.0**-52)) == 0.0
+
+
+class TestClassGuard:
+    """Every class-level caller raises what ClassParams.check_finite raises,
+    Infeasible before UnboundedM."""
+
+    CALLERS = {
+        "theorem1_bound": lambda p: theorem1_bound(KL, p),
+        "renyi_bound": lambda p: renyi_bound(2.0, p),
+        "sason_chi2_bound": sason_chi2_bound,
+        "ternary_extremal": ternary_extremal,
+        "search_sup": lambda p: search_sup(KL, p, SearchConfig(trials=10)),
+        "sample_pair_in_class": lambda p: sample_pair_in_class(p, 4, 0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLERS))
+    def test_empty_class_raises_infeasible(self, name):
+        for params in (ClassParams(0.5, 0.5, 2.0), ClassParams(0.5, 1.0, INF)):
+            with pytest.raises(Infeasible):
+                self.CALLERS[name](params)
+
+    @pytest.mark.parametrize("name", sorted(CALLERS))
+    def test_infinite_M_raises_unbounded(self, name):
+        with pytest.raises(UnboundedM):
+            self.CALLERS[name](ClassParams(0.25, 0.5, INF))
+
+    def test_check_finite_passes_finite_nonempty_classes(self):
+        for params in default_grid() + [ClassParams(0.0, 1.0, 1.0)]:
+            params.check_finite()
 
 
 class TestTheorem1:

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,3 +184,25 @@ class TestFormats:
         assert len(row) == 1
         csv_value = float(row[0].split(",")[1])
         assert csv_value == pytest.approx(js["results"]["bound"], rel=1e-11)
+
+
+class TestGoldenStdout:
+    """Exact stdout bytes, captured from revpinsker 0.1.0 into tests/golden."""
+
+    GOLDEN = Path(__file__).resolve().parent / "golden"
+    BOUND = ("bound", "--div", "kl", "--formula", "cor2", "--delta", "0.3",
+             "--m=-inf", "--M", "inf")
+    EXTREMAL = ("extremal", "--delta", "0.2", "--m", "0.25", "--M", "5")
+
+    @pytest.mark.parametrize("args, golden", [
+        (BOUND, "bound_cor2.json"),
+        (BOUND + ("--format", "csv"), "bound_cor2.csv"),
+        (EXTREMAL, "extremal.json"),
+        (EXTREMAL + ("--format", "csv"), "extremal.csv"),
+        (("compare", "--comparator", "sason-chi2"), "compare_sason_chi2.csv"),
+    ])
+    def test_stdout_bytes(self, args, golden, capsys):
+        from revpinsker.cli import main
+
+        assert main(list(args)) == 0
+        assert capsys.readouterr().out == (self.GOLDEN / golden).read_text()

@@ -118,3 +118,42 @@ def test_chord_bound_errors():
         chord_bound(kl_generator(), 1.0, 1.0, 1.0)
     with pytest.raises(MeanOutOfRange):
         chord_bound(kl_generator(), 0.5, 2.0, 3.0)
+
+
+def test_scalar_only_custom_generator_matches_kl():
+    # math.log rejects arrays: custom_generator wraps f once, evaluate stays direct
+    import numpy as np
+
+    from revpinsker import (
+        ClassParams,
+        SearchConfig,
+        batch_f_divergence,
+        f_divergence,
+        search_sup,
+        validate_distribution,
+    )
+
+    scalar = custom_generator(lambda t: t * math.log(t), 0.0, INF)
+    kl = kl_generator()
+    P = validate_distribution([0.1, 0.2, 0.3, 0.4])
+    Q = validate_distribution([0.4, 0.3, 0.2, 0.1])
+    assert f_divergence(scalar, P, Q) == pytest.approx(f_divergence(kl, P, Q), rel=1e-12)
+
+    rng = np.random.default_rng(5)
+    p = rng.dirichlet(np.ones(5), size=40)
+    q = rng.dirichlet(np.ones(5), size=40)
+    np.testing.assert_allclose(
+        batch_f_divergence(scalar, p, q), batch_f_divergence(kl, p, q), rtol=1e-12
+    )
+
+    params = ClassParams(0.2, 0.25, 5.0)
+    config = SearchConfig(trials=500, seed=11)
+    got, want = search_sup(scalar, params, config), search_sup(kl, params, config)
+    assert got.violations == want.violations == 0
+    assert got.bound == pytest.approx(want.bound, rel=1e-12)
+    assert got.best_value == pytest.approx(want.best_value, rel=1e-12)
+
+
+def test_array_custom_generator_is_not_wrapped():
+    f = lambda t: (t - 1.0) ** 2  # noqa: E731
+    assert custom_generator(f, f_at_zero=1.0, slope_at_infinity=INF).fn is f
