@@ -33,7 +33,7 @@ from .divergence import (
     measure_pair,
     renyi_from_hellinger,
 )
-from .extended import INF, as_extended, ext_add
+from .extended import INF
 from .extremal import ExtremalPair, PairReport, ternary_extremal, verify_membership
 from .generators import (
     Generator,
@@ -62,7 +62,6 @@ __all__ = [
     "PairReport",
     "SearchConfig",
     "SearchOutcome",
-    "as_extended",
     "batch_f_divergence",
     "chi2_generator",
     "chord_bound",
@@ -70,7 +69,6 @@ __all__ = [
     "corollary1_bound",
     "custom_generator",
     "default_grid",
-    "ext_add",
     "f_divergence",
     "falsify_feasibility",
     "feasible",

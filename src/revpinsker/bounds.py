@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import Infeasible, InvalidAlpha, InvalidParams, LogDomain, UnboundedM
-from .extended import INF, as_extended, ext_add
-from .generators import Generator
+from .errors import Infeasible, InvalidParams, LogDomain, UnboundedM
+from .extended import INF
+from .generators import Generator, check_alpha
 
 #: rounding slack of the feasibility test: relative on the total-variation
 #: cap, absolute on M - m when m or M is 1
@@ -43,7 +43,8 @@ class ClassParams:
     """The triple (delta, m, M) identifying a constraint class.
 
     delta is total variation in [0, 1]; m and M are the ratio infimum and
-    supremum with 0 <= m <= 1 <= M, M possibly +inf.
+    supremum with 0 <= m <= 1 <= M, M possibly +inf.  NaN in any slot
+    fails the domain checks and raises InvalidParams.
     """
 
     delta: float
@@ -51,9 +52,9 @@ class ClassParams:
     M: float
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", as_extended(self.delta))
-        object.__setattr__(self, "m", as_extended(self.m))
-        object.__setattr__(self, "M", as_extended(self.M))
+        object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "m", float(self.m))
+        object.__setattr__(self, "M", float(self.M))
         _check_delta(self.delta)
         _check_ratio_extremes(self.m, self.M)
 
@@ -99,18 +100,15 @@ def feasible(params: ClassParams) -> bool:
 
 def chord_slope_gap(gen: Generator, m: float, M: float) -> float:
     """f(m)/(1-m) + f(M)/(M-1), the per-delta coefficient of the optimal
-    bound.  Requires m < 1 < M finite; +inf when f(0+) = +inf and m = 0.
+    bound.  Requires m < 1 < M; +inf when f(0+) = +inf and m = 0.  At
+    M = +inf the second term is its limit f'(inf).
 
     Nonnegative for every convex f with f(1) = 0: the two terms are the
     negated left and the right slope of chords through (1, 0).
     """
-    fm = gen(m)
-    if fm == INF:
-        return INF
-    fM = gen(M)
-    if fM == INF:
-        return INF
-    return fm / (1.0 - m) + fM / (M - 1.0)
+    # IEEE gives inf / inf = NaN, not the limit
+    right = gen.slope_at_infinity if M == INF else gen(M) / (M - 1.0)
+    return gen(m) / (1.0 - m) + right
 
 
 def theorem1_bound(gen: Generator, params: ClassParams) -> float:
@@ -119,28 +117,19 @@ def theorem1_bound(gen: Generator, params: ClassParams) -> float:
     params.check_finite()
     if params.m == 1.0 or params.M == 1.0:
         return 0.0
-    coeff = chord_slope_gap(gen, params.m, params.M)
-    if coeff == INF:
-        return INF
-    return params.delta * coeff
+    return params.delta * chord_slope_gap(gen, params.m, params.M)
 
 
 def corollary1_bound(gen: Generator, m: float, M: float) -> float:
     """sup of D_f over all pairs with ratio extremes (m, M), any delta:
-    ((M-1) f(m) + (1-m) f(M)) / (M - m)."""
+    ((M-1) f(m) + (1-m) f(M)) / (M - m).  Zero when m = 1 or M = 1."""
     m, M = float(m), float(M)
     _check_ratio_extremes(m, M)
     if M == INF:
         raise UnboundedM("Corollary requires M < inf; compose vajda_bound instead")
-    if m == 1.0 and M == 1.0:
+    if m == 1.0 or M == 1.0:
         return 0.0
-    fm = gen(m)
-    if fm == INF:
-        return INF
-    fM = gen(M)
-    if fM == INF:
-        return INF
-    return ((M - 1.0) * fm + (1.0 - m) * fM) / (M - m)
+    return ((M - 1.0) * gen(m) + (1.0 - m) * gen(M)) / (M - m)
 
 
 def vajda_bound(gen: Generator, delta: float) -> float:
@@ -150,10 +139,7 @@ def vajda_bound(gen: Generator, delta: float) -> float:
     _check_delta(delta)
     if delta == 0.0:
         return 0.0
-    s = ext_add(gen.f_at_zero, gen.slope_at_infinity)
-    if s == INF:
-        return INF
-    return delta * s
+    return delta * (gen.f_at_zero + gen.slope_at_infinity)
 
 
 def log_over_x_minus_1(x: float) -> float:
@@ -184,9 +170,7 @@ def kl_bound_ab(delta: float, a: float, b: float) -> float:
 def renyi_bound(alpha: float, params: ClassParams) -> float:
     """Optimal Renyi-alpha bound over the (delta, m, M) class, the monotone
     transform of the Hellinger-alpha optimum."""
-    alpha = float(alpha)
-    if not (alpha > 0.0) or alpha == 1.0 or math.isinf(alpha):
-        raise InvalidAlpha(f"alpha must be in (0,1) or (1,inf), got {alpha}")
+    alpha = check_alpha(alpha)
     params.check_finite()
     if params.m == 1.0 or params.M == 1.0:
         return 0.0

@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
+from dataclasses import replace
+from functools import partial
 
 from .bounds import (
     ClassParams,
-    GRID_CAP_FRACTIONS,
     corollary1_bound,
     default_grid,
     kl_bound_ab,
@@ -28,10 +30,9 @@ from .bounds import (
 )
 from .divergence import f_divergence, measure_pair, renyi_from_hellinger
 from .errors import RevPinskerError
-from .extended import INF
+from .extended import INF, bound_gap
 from .extremal import ternary_extremal, verify_membership
 from .generators import (
-    Generator,
     chi2_generator,
     hellinger_generator,
     kl_generator,
@@ -50,18 +51,20 @@ class ParseError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad flags by default; the contract wants 3
+    """argparse that exits 3 on a parse error (its default is 2) and reads
+    every negative number as a value, ``--M -inf`` and ``--delta -1e-3`` too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses exponents and infinities
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf)", re.IGNORECASE)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ParseError(message)
 
 
 def _parse_extended(text: str) -> float:
-    text = text.strip().lower()
-    if text == "inf":
-        return INF
-    if text == "-inf":
-        return -INF
     try:
         value = float(text)
     except ValueError:
@@ -78,20 +81,26 @@ def _parse_weights(text: str) -> list[float]:
         raise ParseError(f"bad weight list: {text!r}")
 
 
+def _same(value: float) -> float:
+    return value
+
+
 def _resolve_divergence(spec: str):
-    """Return (Generator, renyi_alpha_or_None) for a --div spec."""
+    """Return (Generator, report) for a --div spec; ``report`` maps the
+    generator's divergence, or a bound on it, to the printed value.  It is
+    the identity, except for renyi:alpha: there the generator is Hellinger's
+    of order alpha, named renyi:alpha, and report is the monotone
+    ``renyi_from_hellinger(alpha, .)``."""
     spec = spec.strip().lower()
-    if spec == "kl":
-        return kl_generator(), None
-    if spec == "tv":
-        return tv_generator(), None
-    if spec == "chi2":
-        return chi2_generator(), None
+    named = {"kl": kl_generator, "tv": tv_generator, "chi2": chi2_generator}
+    if spec in named:
+        return named[spec](), _same
     if spec.startswith("hellinger:"):
-        return hellinger_generator(_parse_extended(spec.split(":", 1)[1])), None
+        return hellinger_generator(_parse_extended(spec.split(":", 1)[1])), _same
     if spec.startswith("renyi:"):
         alpha = _parse_extended(spec.split(":", 1)[1])
-        return hellinger_generator(alpha), alpha
+        gen = hellinger_generator(alpha)
+        return replace(gen, name=f"renyi:{alpha:g}"), partial(renyi_from_hellinger, alpha)
     raise ParseError(f"unknown divergence {spec!r}")
 
 
@@ -131,44 +140,34 @@ def _record(command: str, inputs: dict, results: dict, status: str = "n/a") -> d
 
 
 def _cmd_bound(args) -> int:
-    gen, renyi_alpha = _resolve_divergence(args.div)
+    gen, report = _resolve_divergence(args.div)
     inputs = {"div": args.div, "formula": args.formula, "delta": args.delta,
               "m": args.m, "M": args.M}
     if args.formula == "thm1":
         if args.delta is None or args.m is None or args.M is None:
             raise ParseError("thm1 needs --delta, --m and --M")
-        params = ClassParams(delta=args.delta, m=args.m, M=args.M)
-        if renyi_alpha is not None:
-            value = renyi_bound(renyi_alpha, params)
-        else:
-            value = theorem1_bound(gen, params)
+        value = theorem1_bound(gen, ClassParams(delta=args.delta, m=args.m, M=args.M))
     elif args.formula == "cor1":
         if args.m is None or args.M is None:
             raise ParseError("cor1 needs --m and --M")
         value = corollary1_bound(gen, args.m, args.M)
-        if renyi_alpha is not None:
-            value = renyi_from_hellinger(renyi_alpha, value)
     elif args.formula == "cor2":
         if args.delta is None:
             raise ParseError("cor2 needs --delta")
         value = vajda_bound(gen, args.delta)
-        if renyi_alpha is not None:
-            value = renyi_from_hellinger(renyi_alpha, value)
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown formula {args.formula!r}")
-    _emit_record(_record("bound", inputs, {"bound": value}), args.format)
+    _emit_record(_record("bound", inputs, {"bound": report(value)}), args.format)
     return EXIT_OK
 
 
 def _cmd_divergence(args) -> int:
-    gen, renyi_alpha = _resolve_divergence(args.div)
+    gen, report = _resolve_divergence(args.div)
     from .distributions import validate_distribution
 
     P = validate_distribution(_parse_weights(args.p))
     Q = validate_distribution(_parse_weights(args.q))
-    value = f_divergence(gen, P, Q)
-    if renyi_alpha is not None:
-        value = renyi_from_hellinger(renyi_alpha, value)
+    value = report(f_divergence(gen, P, Q))
     delta, m, M = measure_pair(P, Q)
     record = _record(
         "divergence",
@@ -203,26 +202,30 @@ def _cmd_verify(args) -> int:
     P = validate_distribution(_parse_weights(args.p))
     Q = validate_distribution(_parse_weights(args.q))
     params = ClassParams(delta=args.delta, m=args.m, M=args.M)
-    generators = tuple(_resolve_divergence(d)[0] for d in args.div.split(","))
-    report = verify_membership(P, Q, params, tol=args.tol, generators=generators)
+    divs = [_resolve_divergence(d) for d in args.div.split(",")]
+    pair = verify_membership(
+        P, Q, params, tol=args.tol, generators=tuple(gen for gen, _ in divs)
+    )
     results = {
-        "measured_delta": report.measured_delta,
-        "measured_m": report.measured_m,
-        "measured_M": report.measured_M,
-        "deviation_delta": report.deviation_delta,
-        "deviation_m": report.deviation_m,
-        "deviation_M": report.deviation_M,
+        "measured_delta": pair.measured_delta,
+        "measured_m": pair.measured_m,
+        "measured_M": pair.measured_M,
+        "deviation_delta": pair.deviation_delta,
+        "deviation_m": pair.deviation_m,
+        "deviation_M": pair.deviation_M,
     }
-    for name in report.divergences:
-        results[f"divergence.{name}"] = report.divergences[name]
-        results[f"bound.{name}"] = report.bounds[name]
-        results[f"gap.{name}"] = report.gaps[name]
+    for gen, report in divs:
+        value = report(pair.divergences[gen.name])
+        bound = report(pair.bounds[gen.name])
+        results[f"divergence.{gen.name}"] = value
+        results[f"bound.{gen.name}"] = bound
+        results[f"gap.{gen.name}"] = bound_gap(bound, value)
     record = _record(
         "verify",
         {"p": args.p, "q": args.q, "delta": args.delta, "m": args.m,
          "M": args.M, "tol": args.tol},
         results,
-        status="pass" if report.passed else "fail",
+        status="pass" if pair.passed else "fail",
     )
     _emit_record(record, args.format)
     return EXIT_OK
@@ -274,7 +277,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    gen, renyi_alpha = _resolve_divergence(args.div)
+    gen, report = _resolve_divergence(args.div)
     params = ClassParams(delta=args.delta, m=args.m, M=args.M)
     config = SearchConfig(
         support_size=args.n,
@@ -285,17 +288,13 @@ def _cmd_fuzz(args) -> int:
         tolerance=args.tol,
     )
     outcome = search_sup(gen, params, config, seed_extremal=not args.no_seed_extremal)
-    best, bound, gap = outcome.best_value, outcome.bound, outcome.gap
-    if renyi_alpha is not None:
-        # a monotone transform preserves ordering, hence violation counts
-        best = renyi_from_hellinger(renyi_alpha, best)
-        bound = renyi_from_hellinger(renyi_alpha, bound)
-        gap = 0.0 if bound == best == INF else bound - best
+    # report is monotone, so it keeps the ordering and the violation count
+    best, bound = report(outcome.best_value), report(outcome.bound)
     record = _record(
         "fuzz",
         {"div": args.div, "delta": args.delta, "m": args.m, "M": args.M,
          "trials": args.trials, "seed": args.seed, "n": args.n},
-        {"best_value": best, "bound": bound, "gap": gap,
+        {"best_value": best, "bound": bound, "gap": bound_gap(bound, best),
          "violations": outcome.violations},
         status="pass" if outcome.violations == 0 else "fail",
     )
@@ -310,12 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
+    def add_class(p, required=True):
+        for flag in ("--delta", "--m", "--M"):
+            p.add_argument(flag, type=_parse_extended, required=required)
+
     p = sub.add_parser("bound", help="closed-form optimal bound")
     p.add_argument("--div", required=True)
     p.add_argument("--formula", choices=("thm1", "cor1", "cor2"), required=True)
-    p.add_argument("--delta", type=_parse_extended)
-    p.add_argument("--m", type=_parse_extended)
-    p.add_argument("--M", type=_parse_extended)
+    add_class(p, required=False)
     add_common(p)
     p.set_defaults(func=_cmd_bound)
 
@@ -327,18 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_divergence)
 
     p = sub.add_parser("extremal", help="ternary pair attaining the bound")
-    p.add_argument("--delta", type=_parse_extended, required=True)
-    p.add_argument("--m", type=_parse_extended, required=True)
-    p.add_argument("--M", type=_parse_extended, required=True)
+    add_class(p)
     add_common(p)
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("verify", help="check class membership of a pair")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
-    p.add_argument("--delta", type=_parse_extended, required=True)
-    p.add_argument("--m", type=_parse_extended, required=True)
-    p.add_argument("--M", type=_parse_extended, required=True)
+    add_class(p)
     p.add_argument("--tol", type=_parse_extended, default=1e-9)
     p.add_argument("--div", default="kl,tv,chi2")
     add_common(p)
@@ -356,9 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="randomized soundness/tightness search")
     p.add_argument("--div", required=True)
-    p.add_argument("--delta", type=_parse_extended, required=True)
-    p.add_argument("--m", type=_parse_extended, required=True)
-    p.add_argument("--M", type=_parse_extended, required=True)
+    add_class(p)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=6)

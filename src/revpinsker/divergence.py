@@ -12,9 +12,9 @@ from .distributions import (
     ratio_extremes,
     total_variation,
 )
-from .errors import InvalidAlpha, LogDomain
+from .errors import LogDomain
 from .extended import INF
-from .generators import Generator
+from .generators import Generator, check_alpha
 
 
 def f_divergence(gen: Generator, P: Distribution, Q: Distribution) -> float:
@@ -34,8 +34,6 @@ def f_divergence(gen: Generator, P: Distribution, Q: Distribution) -> float:
         total += float(np.dot(q[pos], gen.evaluate(ratios)))
     zero_mass = float(q[support & (p == 0)].sum())
     if zero_mass > 0.0:
-        if gen.f_at_zero == INF:
-            return INF
         total += zero_mass * gen.f_at_zero
     return total
 
@@ -62,18 +60,13 @@ def batch_f_divergence(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarr
 
 def renyi_from_hellinger(alpha: float, h: float) -> float:
     """Renyi divergence of order alpha from the Hellinger divergence of the
-    same order: log(1 + (alpha-1) h) / (alpha - 1)."""
-    alpha = float(alpha)
-    if not (alpha > 0.0) or alpha == 1.0:
-        raise InvalidAlpha(f"alpha must be in (0,1) or (1,inf), got {alpha}")
-    h = float(h)
-    if h == INF:
-        if alpha > 1.0:
-            return INF
-        raise LogDomain("infinite Hellinger value with alpha < 1")
-    arg = 1.0 + (alpha - 1.0) * h
-    if arg <= 0.0:
-        raise LogDomain(f"log argument {arg!r} <= 0")
+    same order: log(1 + (alpha-1) h) / (alpha - 1).  h = +inf gives +inf
+    for alpha > 1; a log argument that is not > 0 (h = +inf with alpha < 1,
+    or NaN) raises LogDomain."""
+    alpha = check_alpha(alpha)
+    arg = 1.0 + (alpha - 1.0) * float(h)
+    if not (arg > 0.0):
+        raise LogDomain(f"log argument {arg!r} is not > 0")
     return math.log(arg) / (alpha - 1.0)
 
 

@@ -59,7 +59,3 @@ class UnboundedM(RevPinskerError):
 
 class LogDomain(RevPinskerError):
     """Argument of a logarithm is nonpositive."""
-
-
-class UndefinedExtendedValue(ArithmeticError):
-    """An extended-real operation has no defined value (inf - inf, 0 * inf, NaN)."""

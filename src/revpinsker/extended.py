@@ -1,29 +1,23 @@
-"""Extended-real arithmetic on plain floats.
+"""Extended reals as plain IEEE doubles.
 
-Values live in [-inf, +inf] and are represented as IEEE doubles with the two
-infinities; NaN is never a legal value.  A sum that has no extended-real
-meaning (inf - inf) raises instead of silently producing NaN.  The product
-0 * f(0) inside a divergence sum is handled at the call site by skipping
-zero-weight terms, never here.
+Values live in [-inf, +inf] as plain floats, and IEEE arithmetic gives the
+extended-real results the bounds need: inf + x = inf for x > -inf and
+x * inf = inf for x > 0.  Its two undefined forms never arise: a convex
+generator has f(0+) > -inf and f'(inf) > -inf, so no inf - inf, and a
+divergence sum skips zero-weight terms, so no 0 * inf.  NaN inputs raise
+InvalidParams in ``ClassParams`` and ``custom_generator``.
+
+A limit at +inf that IEEE would form as inf / inf, hence NaN, is taken in
+place by the function that meets it (``tv_cap``, ``chord_slope_gap``,
+``log_over_x_minus_1``).  The one shared rule is ``bound_gap``: bound -
+value, read as 0 when both are +inf.
 """
 
 import math
 
-from .errors import UndefinedExtendedValue
-
 INF = math.inf
 
 
-def as_extended(x: float) -> float:
-    """Coerce to float, rejecting NaN."""
-    x = float(x)
-    if math.isnan(x):
-        raise UndefinedExtendedValue("NaN is not an extended real")
-    return x
-
-
-def ext_add(x: float, y: float) -> float:
-    x, y = as_extended(x), as_extended(y)
-    if math.isinf(x) and math.isinf(y) and x != y:
-        raise UndefinedExtendedValue("(+inf) + (-inf) is undefined")
-    return x + y
+def bound_gap(bound: float, value: float) -> float:
+    """bound - value, read as 0 when both are +inf."""
+    return 0.0 if bound == value == INF else bound - value

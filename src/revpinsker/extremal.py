@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from .bounds import ClassParams, theorem1_bound
 from .distributions import Distribution, validate_distribution
 from .divergence import f_divergence, measure_pair
-from .extended import INF
+from .extended import INF, bound_gap
 from .generators import Generator
 
 
@@ -84,8 +84,8 @@ def verify_membership(
     """Check whether (P, Q) lies in the class given by params, to tolerance.
 
     For each supplied generator the report also carries D_f(P || Q), the
-    optimal bound at the target parameters, and their gap (bound minus
-    divergence, which is nonnegative for true members)."""
+    optimal bound at the target parameters, and their gap (``bound_gap``:
+    bound minus divergence, which is nonnegative for true members)."""
     delta, m, M = measure_pair(P, Q)
     dd = abs(delta - params.delta)
     dm = abs(m - params.m)
@@ -99,7 +99,7 @@ def verify_membership(
         bound = theorem1_bound(gen, params)
         divergences[gen.name] = value
         bounds[gen.name] = bound
-        gaps[gen.name] = 0.0 if bound == value == INF else bound - value
+        gaps[gen.name] = bound_gap(bound, value)
     return PairReport(
         measured_delta=delta,
         measured_m=m,

@@ -22,7 +22,7 @@ from .errors import (
     InvalidParams,
     MeanOutOfRange,
 )
-from .extended import INF, as_extended
+from .extended import INF
 
 #: tolerance for the f(1) = 0 anchor and the sampled convexity check
 ANCHOR_TOLERANCE = 1e-12
@@ -54,7 +54,8 @@ class Generator:
         # at t = +inf only meaningful when the slope at infinity is +inf or 0
         if t == INF and self.slope_at_infinity > 0:
             return INF
-        return float(self.fn(t))
+        # a numpy scalar overflows to inf as the array path does; a float raises
+        return float(self.fn(np.float64(t)))
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on strictly positive inputs."""
@@ -94,15 +95,22 @@ def chi2_generator() -> Generator:
     )
 
 
+def check_alpha(alpha: float) -> float:
+    """The Hellinger/Renyi order as a float; raise InvalidAlpha unless it is
+    in (0, 1) or (1, inf)."""
+    alpha = float(alpha)
+    if not (0.0 < alpha < INF) or alpha == 1.0:
+        raise InvalidAlpha(f"alpha must be in (0,1) or (1,inf), got {alpha}")
+    return alpha
+
+
 def hellinger_generator(alpha: float) -> Generator:
     """f(t) = (t^alpha - 1)/(alpha - 1) for alpha in (0,1) or (1,inf).
 
     f(0+) = 1/(1 - alpha); the slope at infinity is +inf for alpha > 1 and 0
     for alpha < 1.
     """
-    alpha = float(alpha)
-    if not (alpha > 0.0) or alpha == 1.0 or not math.isfinite(alpha):
-        raise InvalidAlpha(f"alpha must be in (0,1) or (1,inf), got {alpha}")
+    alpha = check_alpha(alpha)
     return Generator(
         name=f"hellinger:{alpha:g}",
         fn=lambda t: (t**alpha - 1.0) / (alpha - 1.0),
@@ -138,14 +146,15 @@ def custom_generator(
 
     Convexity and the f(1) = 0 anchor are sample-checked (64 deterministic
     log-uniform chords); this guards against obvious mistakes, it is not a
-    proof.  f(0+) = -inf is rejected outright.  A callable that does not
+    proof.  Both limits must be > -inf, as they are for every convex f with
+    f(1) = 0; -inf and NaN raise InvalidParams.  A callable that does not
     take arrays is wrapped once with ``np.vectorize``, so ``evaluate`` is a
     direct call either way.
     """
-    f_at_zero = as_extended(f_at_zero)
-    slope_at_infinity = as_extended(slope_at_infinity)
-    if f_at_zero == -INF:
-        raise InvalidParams("f(0+) = -inf is not allowed for a convex generator")
+    f_at_zero = float(f_at_zero)
+    slope_at_infinity = float(slope_at_infinity)
+    if not (f_at_zero > -INF):
+        raise InvalidParams(f"need f(0+) > -inf, got {f_at_zero!r}")
     anchor = float(f(1.0))
     if abs(anchor) > ANCHOR_TOLERANCE:
         raise FailsAnchorCheck(f"f(1) = {anchor!r}, expected 0")
@@ -158,6 +167,9 @@ def custom_generator(
             raise FailsConvexitySample(
                 f"midpoint convexity violated on ({s!r}, {u!r})"
             )
+    # checked after the convexity sample, which reports a concave f first
+    if not (slope_at_infinity > -INF):
+        raise InvalidParams(f"need f'(inf) > -inf, got {slope_at_infinity!r}")
     if not _accepts_arrays(f):
         f = np.vectorize(f, otypes=[float])
     return Generator(

@@ -31,7 +31,7 @@ from .bounds import ClassParams, feasible, theorem1_bound, tv_cap, vajda_bound
 from .distributions import Distribution, validate_distribution
 from .divergence import batch_f_divergence, f_divergence
 from .errors import InvalidParams
-from .extended import INF
+from .extended import INF, bound_gap
 from .extremal import ExtremalPair, ternary_extremal, verify_membership
 from .generators import Generator
 
@@ -232,12 +232,11 @@ def search_sup(
             best_value = v
             best_pair = (ext.P, ext.Q)
 
-    gap = 0.0 if bound == best_value == INF else bound - best_value
     return SearchOutcome(
         best_value=best_value,
         best_pair=best_pair,
         bound=bound,
-        gap=gap,
+        gap=bound_gap(bound, best_value),
         violations=violations,
     )
 
@@ -293,12 +292,11 @@ def search_unconstrained_sup(
                 if best_value > DIVERGENCE_THRESHOLD:
                     break
 
-    gap = 0.0 if target == best_value == INF else target - best_value
     return SearchOutcome(
         best_value=best_value,
         best_pair=best_pair,
         bound=target,
-        gap=gap,
+        gap=bound_gap(target, best_value),
         violations=violations,
         history=tuple(history),
     )

@@ -48,6 +48,15 @@ class TestTvCap:
             tv_cap(0.5, 0.9)
 
 
+class TestClassParams:
+    @pytest.mark.parametrize("slot", range(3))
+    def test_nan_raises_invalid_params(self, slot):
+        values = [0.25, 0.5, 2.0]
+        values[slot] = math.nan
+        with pytest.raises(InvalidParams):
+            ClassParams(*values)
+
+
 class TestFeasible:
     def test_examples(self):
         assert feasible(ClassParams(0.25, 0.5, 2.0))
@@ -156,6 +165,18 @@ class TestCorollary1:
 
     def test_degenerate(self):
         assert corollary1_bound(KL, 1.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("gen, m, M", [
+        (hellinger_generator(0.5), 1.0, 2.0),   # was -0.0
+        (hellinger_generator(0.5), 0.5, 1.0),
+        (CHI2, 1.0, 1e200),                     # was inf: f(M) overflows
+        (CHI2, 0.0, 1.0),
+        (KL, 1.0, 1e300),
+    ])
+    def test_one_sided_degenerate_is_positive_zero(self, gen, m, M):
+        # m = 1 or M = 1 forces P = Q, whatever f(m) and f(M) evaluate to
+        value = corollary1_bound(gen, m, M)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_chi2(self):
         assert corollary1_bound(CHI2, 0.5, 2.0) == pytest.approx(0.5, abs=1e-12)
@@ -275,6 +296,12 @@ class TestChordSlopeGap:
             for m in (0.0, 0.2, 0.7, 0.99):
                 for M in (1.01, 2.0, 50.0):
                     assert chord_slope_gap(gen, m, M) >= 0.0
+
+    @pytest.mark.parametrize("gen", [KL, TV, CHI2, hellinger_generator(0.5)])
+    def test_infinite_M_takes_the_slope_limit(self, gen):
+        # inf / inf would be NaN; the M term tends to f'(inf)
+        assert chord_slope_gap(gen, 0.5, INF) == gen(0.5) / 0.5 + gen.slope_at_infinity
+        assert chord_slope_gap(gen, 0.0, INF) == vajda_bound(gen, 1.0)
 
 
 class TestGrid:

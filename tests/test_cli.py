@@ -20,6 +20,14 @@ def record_of(result):
     return json.loads(result.stdout)
 
 
+def main_record(capsys, *args):
+    """Run the CLI in process; return its exit code and its JSON record."""
+    from revpinsker.cli import main
+
+    code = main(list(args))
+    return code, json.loads(capsys.readouterr().out)
+
+
 def as_float(x):
     if x == "inf":
         return math.inf
@@ -55,6 +63,24 @@ class TestBound:
     def test_unknown_flag_exit_3(self):
         result = run("bound", "--wat", "1")
         assert result.returncode == 3
+
+    def test_negative_delta_as_own_argument_exit_2(self, capsys):
+        from revpinsker.cli import main
+
+        # a domain error (2), not a parse error (3): -1e-3 is read as a value
+        assert main(["bound", "--div", "kl", "--formula", "thm1",
+                     "--delta", "-1e-3", "--m", "0.5", "--M", "2"]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("formula", ["thm1", "cor1"])
+    def test_overflowing_f_of_M_is_inf(self, formula, capsys):
+        # (1e300)**3 overflows; the scalar path gives inf as the array path does
+        code, rec = main_record(capsys, "bound", "--div", "hellinger:3",
+                                "--formula", formula, "--delta", "0.1",
+                                "--m", "0.5", "--M", "1e300")
+        assert code == 0
+        assert rec["results"]["bound"] == "inf"
 
     def test_M_inf_literal(self):
         rec = record_of(
@@ -186,6 +212,90 @@ class TestFormats:
         assert csv_value == pytest.approx(js["results"]["bound"], rel=1e-11)
 
 
+class TestRenyi:
+    """renyi:alpha in every subcommand prints the library's Hellinger-alpha
+    result passed through renyi_from_hellinger, bit for bit."""
+
+    DELTA, M_LOW, M_HIGH = 0.3985, 0.396, 79.856
+    CLASS = ("--delta", "0.3985", "--m", "0.396", "--M", "79.856")
+    P, Q = "0.25,0.5,0.25", "0.5,0.25,0.25"
+
+    # at alpha = 0.25 this class is one where renyi_bound's direct form and
+    # the composed value differ in the last digits
+    @pytest.mark.parametrize("alpha", [2.0, 0.5, 0.25])
+    def test_bound(self, alpha, capsys):
+        from revpinsker import (ClassParams, corollary1_bound, hellinger_generator,
+                                renyi_from_hellinger, theorem1_bound, vajda_bound)
+
+        h = hellinger_generator(alpha)
+        hellinger = {
+            "thm1": theorem1_bound(h, ClassParams(self.DELTA, self.M_LOW, self.M_HIGH)),
+            "cor1": corollary1_bound(h, self.M_LOW, self.M_HIGH),
+            "cor2": vajda_bound(h, self.DELTA),
+        }
+        for formula, value in hellinger.items():
+            code, rec = main_record(capsys, "bound", "--div", f"renyi:{alpha:g}",
+                                    "--formula", formula, *self.CLASS)
+            assert code == 0
+            assert as_float(rec["results"]["bound"]) == renyi_from_hellinger(alpha, value)
+
+    @pytest.mark.parametrize("alpha", [2.0, 0.5])
+    def test_divergence(self, alpha, capsys):
+        from revpinsker import (f_divergence, hellinger_generator,
+                                renyi_from_hellinger, validate_distribution)
+
+        h = f_divergence(hellinger_generator(alpha),
+                         validate_distribution([0.25, 0.5, 0.25]),
+                         validate_distribution([0.5, 0.25, 0.25]))
+        code, rec = main_record(capsys, "divergence", "--div", f"renyi:{alpha:g}",
+                                "--p", self.P, "--q", self.Q)
+        assert code == 0
+        assert rec["results"]["divergence"] == renyi_from_hellinger(alpha, h)
+
+    @pytest.mark.parametrize("alpha", [2.0, 0.5])
+    def test_verify_reports_renyi_and_hellinger_apart(self, alpha, capsys):
+        from revpinsker import (ClassParams, f_divergence, hellinger_generator,
+                                renyi_from_hellinger, theorem1_bound,
+                                validate_distribution)
+
+        gen = hellinger_generator(alpha)
+        h = f_divergence(gen, validate_distribution([0.25, 0.5, 0.25]),
+                         validate_distribution([0.5, 0.25, 0.25]))
+        h_bound = theorem1_bound(gen, ClassParams(0.25, 0.5, 2.0))
+        renyi, hell = f"renyi:{alpha:g}", f"hellinger:{alpha:g}"
+        code, rec = main_record(capsys, "verify", "--div", f"{renyi},{hell}",
+                                "--p", self.P, "--q", self.Q,
+                                "--delta", "0.25", "--m", "0.5", "--M", "2")
+        assert code == 0
+        res = rec["results"]
+        value = renyi_from_hellinger(alpha, h)
+        bound = renyi_from_hellinger(alpha, h_bound)
+        assert res[f"divergence.{renyi}"] == value
+        assert res[f"bound.{renyi}"] == bound
+        assert res[f"gap.{renyi}"] == bound - value
+        assert res[f"divergence.{hell}"] == h
+        assert res[f"bound.{hell}"] == h_bound
+        assert res[f"gap.{hell}"] == h_bound - h
+
+    @pytest.mark.parametrize("alpha", [2.0, 0.5])
+    def test_fuzz(self, alpha, capsys):
+        from revpinsker import (ClassParams, SearchConfig, hellinger_generator,
+                                renyi_from_hellinger, search_sup)
+
+        outcome = search_sup(hellinger_generator(alpha),
+                             ClassParams(self.DELTA, self.M_LOW, self.M_HIGH),
+                             SearchConfig(trials=500, seed=3))
+        code, rec = main_record(capsys, "fuzz", "--div", f"renyi:{alpha:g}",
+                                *self.CLASS, "--trials", "500", "--seed", "3")
+        assert code == 0
+        res = rec["results"]
+        best = renyi_from_hellinger(alpha, outcome.best_value)
+        bound = renyi_from_hellinger(alpha, outcome.bound)
+        assert (res["best_value"], res["bound"]) == (best, bound)
+        assert res["gap"] == bound - best
+        assert res["violations"] == outcome.violations == 0
+
+
 class TestGoldenStdout:
     """Exact stdout bytes, captured from revpinsker 0.1.0 into tests/golden."""
 
@@ -206,3 +316,12 @@ class TestGoldenStdout:
 
         assert main(list(args)) == 0
         assert capsys.readouterr().out == (self.GOLDEN / golden).read_text()
+
+    def test_negative_value_as_own_argument(self, capsys):
+        from revpinsker.cli import main
+
+        # "--m -inf" reads as "--m=-inf"
+        args = ["bound", "--div", "kl", "--formula", "cor2", "--delta", "0.3",
+                "--m", "-inf", "--M", "inf"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == (self.GOLDEN / "bound_cor2.json").read_text()

@@ -14,7 +14,7 @@ from revpinsker import (
     tv_generator,
     validate_distribution,
 )
-from revpinsker.errors import LogDomain, NotAbsolutelyContinuous
+from revpinsker.errors import InvalidAlpha, LogDomain, NotAbsolutelyContinuous
 
 
 @pytest.fixture
@@ -88,6 +88,20 @@ def test_renyi_from_hellinger_values():
 def test_renyi_from_hellinger_log_domain():
     with pytest.raises(LogDomain):
         renyi_from_hellinger(0.5, 3.0)
+    with pytest.raises(LogDomain):
+        renyi_from_hellinger(0.5, INF)
+
+
+def test_renyi_from_hellinger_rejects_nan_value():
+    with pytest.raises(LogDomain):
+        renyi_from_hellinger(2, math.nan)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -2.0, INF, math.nan])
+def test_renyi_from_hellinger_rejects_bad_alpha(alpha):
+    # the order is checked as hellinger_generator and renyi_bound check it
+    with pytest.raises(InvalidAlpha):
+        renyi_from_hellinger(alpha, 0.5)
 
 
 def test_measure_pair(pair):

@@ -99,6 +99,13 @@ def test_custom_generator_rejects_minus_inf_at_zero():
         custom_generator(lambda t: t - 1.0, f_at_zero=-INF, slope_at_infinity=1.0)
 
 
+@pytest.mark.parametrize("f_at_zero, slope", [(1.0, -INF), (math.nan, 1.0), (1.0, math.nan)])
+def test_custom_generator_rejects_minus_inf_and_nan_limits(f_at_zero, slope):
+    # |t - 1| is convex with f(1) = 0, so only the declared limits are wrong
+    with pytest.raises(InvalidParams):
+        custom_generator(lambda t: abs(t - 1.0), f_at_zero, slope)
+
+
 def test_chord_bound_tv_recovers_cap():
     # chord of |t-1|/2 over [m, M] at mean 1 is the feasibility cap
     assert chord_bound(tv_generator(), 0.5, 2.0, 1.0) == pytest.approx(1 / 3, abs=1e-12)
