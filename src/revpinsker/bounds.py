@@ -1,10 +1,13 @@
 """Closed-form optimal upper bounds on f-divergences over constraint classes.
 
-The central object is the class of pairs (P, Q) with total variation delta and
-density-ratio extremes (m, M).  The supremum of D_f over that class is
-delta * (f(m)/(1-m) + f(M)/(M-1)); dropping the delta constraint or the (m, M)
-constraint gives the two corollary bounds.  Weaker published comparators
-(Simic for KL, Sason for chi-squared) are provided for dominance tables.
+Over pairs (P, Q) with total variation delta and ratio extremes (m, M), the
+sup of D_f is delta * chord_slope_gap(gen, m, M) = delta * (f(m)/(1-m) +
+f(M)/(M-1)), and chord_slope_gap alone evaluates f.  corollary1_bound is that
+bound at delta = tv_cap(m, M), vajda_bound is delta * chord_slope_gap(gen, 0,
+inf) and renyi_bound is renyi_from_hellinger of the Hellinger-alpha bound.
+kl_bound_ab keeps its own form: its near-1 series beats the plain secant.
+Simic's (KL) and Sason's (chi-squared) weaker comparators fill the dominance
+tables.
 
 Every function that needs a non-empty class with finite M asks the one class
 guard, ``ClassParams.check_finite``, which raises Infeasible and then
@@ -17,9 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .divergence import renyi_from_hellinger
 from .errors import Infeasible, InvalidParams, LogDomain, UnboundedM
 from .extended import INF
-from .generators import Generator, check_alpha
+from .generators import Generator, hellinger_generator
 
 #: rounding slack of the feasibility test: relative on the total-variation
 #: cap, absolute on M - m when m or M is 1
@@ -122,24 +126,24 @@ def theorem1_bound(gen: Generator, params: ClassParams) -> float:
 
 def corollary1_bound(gen: Generator, m: float, M: float) -> float:
     """sup of D_f over all pairs with ratio extremes (m, M), any delta:
-    ((M-1) f(m) + (1-m) f(M)) / (M - m).  Zero when m = 1 or M = 1."""
+    Theorem 1 at delta = tv_cap(m, M).  Zero when m = 1 or M = 1."""
     m, M = float(m), float(M)
-    _check_ratio_extremes(m, M)
+    cap = tv_cap(m, M)
     if M == INF:
         raise UnboundedM("Corollary requires M < inf; compose vajda_bound instead")
-    if m == 1.0 or M == 1.0:
+    if cap == 0.0:  # m = 1 or M = 1, where f(1)/0 is not the limit
         return 0.0
-    return ((M - 1.0) * gen(m) + (1.0 - m) * gen(M)) / (M - m)
+    return cap * chord_slope_gap(gen, m, M)
 
 
 def vajda_bound(gen: Generator, delta: float) -> float:
-    """Range-of-values bound: sup of D_f at fixed total variation delta,
-    equal to delta * (f(0+) + f'(inf)); +inf when either limit is."""
+    """Range-of-values bound at fixed total variation delta:
+    delta * chord_slope_gap(gen, 0, inf) = delta * (f(0+) + f'(inf))."""
     delta = float(delta)
     _check_delta(delta)
     if delta == 0.0:
-        return 0.0
-    return delta * (gen.f_at_zero + gen.slope_at_infinity)
+        return 0.0  # 0 * inf is undefined; P = Q
+    return delta * chord_slope_gap(gen, 0.0, INF)
 
 
 def log_over_x_minus_1(x: float) -> float:
@@ -159,6 +163,7 @@ def log_over_x_minus_1(x: float) -> float:
 def kl_bound_ab(delta: float, a: float, b: float) -> float:
     """Optimal KL bound in the reciprocal parameters a = 1/M, b = 1/m:
     delta * (log(a)/(a-1) + log(b)/(1-b)); b = +inf drops the second term."""
+    # not via chord_slope_gap: log_over_x_minus_1's series beats the secant near 1
     delta, a, b = float(delta), float(a), float(b)
     _check_delta(delta)
     if not (0.0 < a <= 1.0 <= b):
@@ -170,16 +175,7 @@ def kl_bound_ab(delta: float, a: float, b: float) -> float:
 def renyi_bound(alpha: float, params: ClassParams) -> float:
     """Optimal Renyi-alpha bound over the (delta, m, M) class, the monotone
     transform of the Hellinger-alpha optimum."""
-    alpha = check_alpha(alpha)
-    params.check_finite()
-    if params.m == 1.0 or params.M == 1.0:
-        return 0.0
-    m, M = params.m, params.M
-    inner = (M**alpha - 1.0) / (M - 1.0) - (1.0 - m**alpha) / (1.0 - m)
-    arg = 1.0 + params.delta * inner
-    if arg <= 0.0:
-        raise LogDomain(f"log argument {arg!r} <= 0")
-    return math.log(arg) / (alpha - 1.0)
+    return renyi_from_hellinger(alpha, theorem1_bound(hellinger_generator(alpha), params))
 
 
 def simic_kl_bound(a: float, b: float) -> float:

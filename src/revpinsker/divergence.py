@@ -62,12 +62,12 @@ def renyi_from_hellinger(alpha: float, h: float) -> float:
     """Renyi divergence of order alpha from the Hellinger divergence of the
     same order: log(1 + (alpha-1) h) / (alpha - 1).  h = +inf gives +inf
     for alpha > 1; a log argument that is not > 0 (h = +inf with alpha < 1,
-    or NaN) raises LogDomain."""
+    or NaN) raises LogDomain.  h = 0 gives +0.0 for every alpha."""
     alpha = check_alpha(alpha)
     arg = 1.0 + (alpha - 1.0) * float(h)
     if not (arg > 0.0):
         raise LogDomain(f"log argument {arg!r} is not > 0")
-    return math.log(arg) / (alpha - 1.0)
+    return math.log(arg) / (alpha - 1.0) + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def measure_pair(P: Distribution, Q: Distribution) -> tuple[float, float, float]:

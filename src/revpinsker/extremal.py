@@ -1,16 +1,19 @@
 """Ternary extremal pairs attaining the optimal bound, and pair verification.
 
 ``ternary_extremal`` accepts the classes that pass the one class guard,
-``ClassParams.check_finite``: non-empty, with finite M.
+``ClassParams.check_finite`` (non-empty, finite M), and raises InvalidParams
+when a Q weight, delta/(1-m) or delta/(M-1), is not a normal double.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from .bounds import ClassParams, theorem1_bound
 from .distributions import Distribution, validate_distribution
 from .divergence import f_divergence, measure_pair
+from .errors import InvalidParams
 from .extended import INF, bound_gap
 from .generators import Generator
 
@@ -50,6 +53,8 @@ def ternary_extremal(params: ClassParams) -> ExtremalPair:
     p_c = M * q_c
     t = delta * (M - m) / ((M - 1.0) * (1.0 - m))
     t = min(t, 1.0)  # delta = cap gives t = 1 up to rounding
+    if min(t * q, t * q_c) < sys.float_info.min:  # lost ratio digits, or zero
+        raise InvalidParams(f"a Q weight of the pair for {params} is not a normal double")
     P = validate_distribution([t * p, t * p_c, max(0.0, 1.0 - t)])
     Q = validate_distribution([t * q, t * q_c, max(0.0, 1.0 - t)])
     return ExtremalPair(P=P, Q=Q, params=params, q=q, p=p, t=t)

@@ -7,6 +7,7 @@ limits are what the closed-form bounds need at the edges m = 0 and M = inf.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -104,11 +105,12 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
+@functools.lru_cache(maxsize=64)
 def hellinger_generator(alpha: float) -> Generator:
     """f(t) = (t^alpha - 1)/(alpha - 1) for alpha in (0,1) or (1,inf).
 
     f(0+) = 1/(1 - alpha); the slope at infinity is +inf for alpha > 1 and 0
-    for alpha < 1.
+    for alpha < 1.  Cached: ``renyi_bound`` shares one frozen Generator per order.
     """
     alpha = check_alpha(alpha)
     return Generator(

@@ -104,15 +104,11 @@ def _sample_batch(
     eps = max(u * step_scale * min(give, take), 0) of P mass between them
     through a flat view of p.  A move keeps both ratios in the band, leaves
     the anchors at m and M and leaves sum |p - q| unchanged; a step costs
-    O(trials) whatever n is.
+    O(trials) whatever n is.  At delta = 0 the base is P = Q = (1): the
+    split gives p == q bit for bit, and every transfer has eps = 0.
     """
     if n < 3:
         raise InvalidParams("need support size n >= 3")
-    if params.delta == 0.0:
-        e = rng.standard_exponential((trials, n))
-        w = e / e.sum(axis=1, keepdims=True)
-        return w, w.copy()
-
     active = np.flatnonzero(base.Q.weights > 0)
     k0 = active.size
     parent_p = base.P.weights[active]

@@ -249,6 +249,16 @@ class TestRenyi:
     def test_degenerate(self):
         assert renyi_bound(2, ClassParams(0.0, 1.0, 1.0)) == 0.0
 
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_degenerate_is_positive_zero(self, alpha):
+        value = renyi_bound(alpha, ClassParams(0.0, 1.0, 1.0))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_M_is_inf(self):
+        # (1e300)**3 overflows to inf; a Python-float power would raise
+        assert renyi_bound(3, ClassParams(0.1, 0.5, 1e300)) == INF
+
     def test_m_zero_specialization(self):
         assert renyi_bound(2, ClassParams(0.25, 0.0, 2.0)) == pytest.approx(
             math.log(1.5), abs=1e-12

@@ -129,6 +129,14 @@ class TestExtremal:
         assert rec["results"]["P"] == [0.25, 0.5, 0.25]
         assert rec["results"]["Q"] == [0.5, 0.25, 0.25]
 
+    def test_q_weight_below_normal_range_exit_2(self, capsys):
+        # t (1 - q) = 1e-600 would underflow to 0, leaving P mass where Q has none
+        from revpinsker.cli import main
+
+        code = main(["extremal", "--delta", "1e-300", "--m", "1e-300", "--M", "1e300"])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
     def test_json_roundtrip(self):
         rec = record_of(run("extremal", "--delta", "0.21", "--m", "0.3", "--M", "7"))
         from revpinsker import ClassParams, ternary_extremal
@@ -220,16 +228,18 @@ class TestRenyi:
     CLASS = ("--delta", "0.3985", "--m", "0.396", "--M", "79.856")
     P, Q = "0.25,0.5,0.25", "0.5,0.25,0.25"
 
-    # at alpha = 0.25 this class is one where renyi_bound's direct form and
-    # the composed value differ in the last digits
+    # at alpha = 0.25 this class is one where a direct M**alpha form of the
+    # Renyi bound differs from the composed value in the last digits
     @pytest.mark.parametrize("alpha", [2.0, 0.5, 0.25])
     def test_bound(self, alpha, capsys):
         from revpinsker import (ClassParams, corollary1_bound, hellinger_generator,
-                                renyi_from_hellinger, theorem1_bound, vajda_bound)
+                                renyi_bound, renyi_from_hellinger, theorem1_bound,
+                                vajda_bound)
 
         h = hellinger_generator(alpha)
+        params = ClassParams(self.DELTA, self.M_LOW, self.M_HIGH)
         hellinger = {
-            "thm1": theorem1_bound(h, ClassParams(self.DELTA, self.M_LOW, self.M_HIGH)),
+            "thm1": theorem1_bound(h, params),
             "cor1": corollary1_bound(h, self.M_LOW, self.M_HIGH),
             "cor2": vajda_bound(h, self.DELTA),
         }
@@ -238,6 +248,24 @@ class TestRenyi:
                                     "--formula", formula, *self.CLASS)
             assert code == 0
             assert as_float(rec["results"]["bound"]) == renyi_from_hellinger(alpha, value)
+            if formula == "thm1":
+                assert as_float(rec["results"]["bound"]) == renyi_bound(alpha, params)
+
+    @pytest.mark.parametrize("args, key", [
+        (("divergence", "--div", "renyi:0.5", "--p", "0.5,0.5", "--q", "0.5,0.5"),
+         "divergence"),
+        (("bound", "--div", "renyi:0.5", "--formula", "thm1",
+          "--delta", "0", "--m", "1", "--M", "1"), "bound"),
+    ])
+    def test_zero_prints_positive_zero(self, args, key, capsys):
+        # log(1) / (alpha - 1) is -0.0 for alpha < 1; the record says 0.0
+        from revpinsker.cli import main
+
+        assert main(list(args)) == 0
+        out = capsys.readouterr().out
+        assert f'"{key}": 0.0' in out
+        value = json.loads(out)["results"][key]
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     @pytest.mark.parametrize("alpha", [2.0, 0.5])
     def test_divergence(self, alpha, capsys):

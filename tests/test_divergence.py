@@ -85,6 +85,14 @@ def test_renyi_from_hellinger_values():
     assert renyi_from_hellinger(2, INF) == INF
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 2.0])
+@pytest.mark.parametrize("h", [0.0, -0.0])
+def test_renyi_from_hellinger_zero_is_positive_zero(alpha, h):
+    # log(1) / (alpha - 1) alone is -0.0 for alpha < 1
+    value = renyi_from_hellinger(alpha, h)
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_renyi_from_hellinger_log_domain():
     with pytest.raises(LogDomain):
         renyi_from_hellinger(0.5, 3.0)

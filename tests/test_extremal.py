@@ -19,7 +19,7 @@ from revpinsker import (
     validate_distribution,
     verify_membership,
 )
-from revpinsker.errors import Infeasible, UnboundedM
+from revpinsker.errors import Infeasible, InvalidParams, UnboundedM
 
 GENERATORS = [
     kl_generator(),
@@ -67,6 +67,26 @@ def test_construction_matches_class_parameters():
         assert delta == pytest.approx(params.delta, abs=1e-12)
         assert m == pytest.approx(params.m, abs=1e-12)
         assert M == pytest.approx(params.M, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("params", [
+    # t (1 - q) = 1e-600 underflows: P = [0, 1e-300, 1] against Q = [1e-300, 0, 1]
+    ClassParams(1e-300, 1e-300, 1e300),
+    # subnormal weights: the pair would measure M = 2, not 3
+    ClassParams(5e-324 * tv_cap(0.0, 3.0), 0.0, 3.0),
+])
+def test_q_weight_below_normal_range_raises(params):
+    with pytest.raises(InvalidParams):
+        ternary_extremal(params)
+
+
+def test_small_normal_q_weights_stay_in_class():
+    # Q weights 2e-300 and 1e-300 are normal doubles; the ratios keep their digits
+    params = ClassParams(1e-300, 0.5, 2.0)
+    pair = ternary_extremal(params)
+    delta, m, M = measure_pair(pair.P, pair.Q)
+    assert delta == pytest.approx(1e-300, rel=1e-12)
+    assert (m, M) == pytest.approx((0.5, 2.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("m, M", [(0.98046875, 766828.0), (1.0 - 1e-6, 1e6)])

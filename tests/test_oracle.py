@@ -24,6 +24,20 @@ from revpinsker.oracle import DIVERGENCE_THRESHOLD, _sample_batch
 PARAMS = ClassParams(0.25, 0.5, 2.0)
 
 
+class TestTinyScaleClasses:
+    # ternary_extremal raises for a Q weight below the normal doubles; the
+    # oracle builds every sample from that pair and inherits the check
+    PARAMS = ClassParams(1e-300, 1e-300, 1e300)
+
+    def test_sample_pair_in_class_raises(self):
+        with pytest.raises(InvalidParams):
+            sample_pair_in_class(self.PARAMS, 6, 0)
+
+    def test_search_sup_raises(self):
+        with pytest.raises(InvalidParams):
+            search_sup(kl_generator(), self.PARAMS, SearchConfig(trials=10))
+
+
 class TestSamplePair:
     def test_membership(self):
         for seed in range(5):
@@ -84,6 +98,20 @@ class TestSampleBatch:
         tol = 1e-9
         inside = ((r > m + tol) & (r < 1.0 - tol)) | ((r > 1.0 + tol) & (r < M - tol))
         assert inside.any(axis=1).mean() >= 0.5
+
+    @pytest.mark.parametrize("params", [
+        ClassParams(0.0, 1.0, 1.0),
+        ClassParams(0.0, 1.0, 1.0 + 2**-52),
+        ClassParams(0.0, 1.0 - 2**-53, 1.0),
+    ])
+    @pytest.mark.parametrize("n", [3, 6, 12])
+    def test_zero_delta_rows_are_identical_pairs(self, params, n):
+        # the one-atom base P = Q = (1) splits into p == q; transfers move 0
+        rng = np.random.default_rng(n)
+        p, q = _sample_batch(params, ternary_extremal(params), n, 200, rng, 8, 0.9)
+        np.testing.assert_array_equal(p, q)
+        assert np.all(p > 0.0)
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestSearchConfig:

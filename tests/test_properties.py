@@ -7,21 +7,28 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from revpinsker import (
+    INF,
     ClassParams,
     chi2_generator,
     chord_bound,
+    chord_slope_gap,
+    corollary1_bound,
     f_divergence,
     hellinger_generator,
     kl_generator,
     measure_pair,
     ratio_extremes,
+    renyi_bound,
+    renyi_from_hellinger,
     ternary_extremal,
     theorem1_bound,
     total_variation,
     tv_cap,
     tv_generator,
+    vajda_bound,
     validate_distribution,
 )
+from revpinsker.errors import RevPinskerError
 from revpinsker.oracle import _sample_batch
 
 GENERATORS = [
@@ -177,3 +184,46 @@ def test_sampled_rows_lie_in_class(m, M, cap_fraction, n, steps, seed):
     np.testing.assert_allclose(q.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     for dev in class_deviation(params, p, q):
         assert dev.max() <= 1e-9
+
+
+def outcome(fn, *args):
+    """fn(*args) as the hex of its float (bit for bit, sign of zero included),
+    or the type of the domain error it raised."""
+    try:
+        return float(fn(*args)).hex()
+    except RevPinskerError as e:
+        return type(e)
+
+
+ratio_low = st.floats(min_value=0.0, max_value=1.0 - 1e-15)
+ratio_high = st.floats(min_value=1.0, max_value=1e300, exclude_min=True)
+total_variation_value = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@given(st.sampled_from(GENERATORS), ratio_low, ratio_high)
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_corollary1_is_theorem1_at_the_cap(gen, m, M):
+    params = ClassParams(tv_cap(m, M), m, M)
+    assert outcome(corollary1_bound, gen, m, M) == outcome(theorem1_bound, gen, params)
+
+
+@given(st.sampled_from((0.25, 0.5, 2.0, 3.0)), total_variation_value, ratio_low, ratio_high)
+# a direct M**alpha form of the Renyi bound differs here in the last digits
+@example(0.25, 0.3985, 0.396, 79.856)
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_renyi_is_the_transformed_hellinger_bound(alpha, delta, m, M):
+    params = ClassParams(min(delta, tv_cap(m, M)), m, M)
+    composed = outcome(
+        lambda: renyi_from_hellinger(alpha, theorem1_bound(hellinger_generator(alpha), params))
+    )
+    assert outcome(renyi_bound, alpha, params) == composed
+
+
+@given(st.sampled_from(GENERATORS), total_variation_value)
+@settings(max_examples=200, deadline=None)
+def test_vajda_is_the_gap_at_zero_and_infinity(gen, delta):
+    assert outcome(vajda_bound, gen, delta) == outcome(
+        lambda: delta * chord_slope_gap(gen, 0.0, INF)
+    )
