@@ -1,4 +1,7 @@
-"""Evaluation of f-divergences on discrete distribution pairs."""
+"""Evaluation of f-divergences on discrete distribution pairs.
+
+D_f is one sum, :func:`batch_f_divergence`; :func:`f_divergence` is that sum
+for one row after the absolute-continuity check."""
 
 from __future__ import annotations
 
@@ -13,49 +16,29 @@ from .distributions import (
     total_variation,
 )
 from .errors import LogDomain
-from .extended import INF
 from .generators import Generator, check_alpha
 
 
 def f_divergence(gen: Generator, P: Distribution, Q: Distribution) -> float:
-    """D_f(P || Q) = sum over the support of Q of q_i * f(p_i / q_i).
-
-    Terms with p_i = 0 contribute q_i * f(0+), which may make the total +inf.
-    Terms with q_i = 0 contribute nothing (the standard convention; absolute
-    continuity is enforced, so such terms also have p_i = 0).
-    """
+    """D_f(P || Q) of one pair: the absolute-continuity check, then
+    :func:`batch_f_divergence` of the pair as a single row."""
     check_absolutely_continuous(P, Q)
-    p, q = P.weights, Q.weights
-    support = q > 0
-    pos = support & (p > 0)
-    total = 0.0
-    if np.any(pos):
-        ratios = p[pos] / q[pos]
-        total += float(np.dot(q[pos], gen.evaluate(ratios)))
-    zero_mass = float(q[support & (p == 0)].sum())
-    if zero_mass > 0.0:
-        total += zero_mass * gen.f_at_zero
-    return total
+    return float(batch_f_divergence(gen, P.weights[None], Q.weights[None])[0])
 
 
 def batch_f_divergence(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise D_f for stacked weight arrays of shape (trials, n).
+    """Row-wise D_f = sum over q_i > 0 of q_i * f(p_i / q_i), for stacked
+    weight arrays of shape (trials, n).
 
+    Terms with p_i = 0 contribute q_i * f(0+), which may make a row +inf.
     Assumes absolute continuity holds row-wise (the oracle's samplers
     construct pairs that satisfy it by design).
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    pos = (q > 0) & (p > 0)
-    ratios = np.where(pos, p, 1.0) / np.where(pos, q, 1.0)
-    terms = np.where(pos, q * gen.evaluate(ratios), 0.0)
-    total = terms.sum(axis=1)
-    zero_mass = np.where((q > 0) & (p == 0), q, 0.0).sum(axis=1)
-    if gen.f_at_zero == INF:
-        total = np.where(zero_mass > 0, INF, total)
-    elif gen.f_at_zero != 0.0:
-        total = total + zero_mass * gen.f_at_zero
-    return total
+    support = q > 0
+    ratios = np.divide(p, q, out=np.ones_like(p), where=support)
+    return np.where(support, q * gen.evaluate(ratios), 0.0).sum(axis=1)
 
 
 def renyi_from_hellinger(alpha: float, h: float) -> float:

@@ -2,12 +2,12 @@
 
 ``ternary_extremal`` accepts the classes that pass the one class guard,
 ``ClassParams.check_finite`` (non-empty, finite M), and raises InvalidParams
-when a Q weight, delta/(1-m) or delta/(M-1), is not a normal double.
+when the pair it builds has a zero Q weight at the m or M atom, or misses
+m or M by more than ``RATIO_TOLERANCE`` (relative to M at the M atom).
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 from .bounds import ClassParams, theorem1_bound
@@ -16,6 +16,9 @@ from .divergence import f_divergence, measure_pair
 from .errors import InvalidParams
 from .extended import INF, bound_gap
 from .generators import Generator
+
+#: largest |p/q - m| at the m atom, and |p/q - M| / M at the M atom, of a built pair
+RATIO_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,10 +56,13 @@ def ternary_extremal(params: ClassParams) -> ExtremalPair:
     p_c = M * q_c
     t = delta * (M - m) / ((M - 1.0) * (1.0 - m))
     t = min(t, 1.0)  # delta = cap gives t = 1 up to rounding
-    if min(t * q, t * q_c) < sys.float_info.min:  # lost ratio digits, or zero
-        raise InvalidParams(f"a Q weight of the pair for {params} is not a normal double")
     P = validate_distribution([t * p, t * p_c, max(0.0, 1.0 - t)])
     Q = validate_distribution([t * q, t * q_c, max(0.0, 1.0 - t)])
+    # tiny weights lose ratio digits, or underflow to zero
+    (p_m, p_M, _), (q_m, q_M, _) = P.weights.tolist(), Q.weights.tolist()
+    if not (min(q_m, q_M) > 0.0 and abs(p_m / q_m - m) <= RATIO_TOLERANCE
+            and abs(p_M / q_M - M) <= RATIO_TOLERANCE * M):
+        raise InvalidParams(f"the pair for {params} is off its class by > {RATIO_TOLERANCE}")
     return ExtremalPair(P=P, Q=Q, params=params, q=q, p=p, t=t)
 
 

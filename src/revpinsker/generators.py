@@ -37,8 +37,9 @@ class Generator:
 
     ``fn`` maps t in (0, inf) to f(t) and must accept numpy arrays, acting
     elementwise; :func:`custom_generator` wraps a scalar-only callable once,
-    with ``np.vectorize``.  ``mp_fn``, when present, is an mpmath-safe twin
-    used for sweeps beyond float range.
+    with ``np.vectorize``.  ``fn`` is only called on t > 0: at t = 0 both
+    ``__call__`` and ``evaluate`` return ``f_at_zero``.  ``mp_fn``, when
+    present, is an mpmath-safe twin used for sweeps beyond float range.
     """
 
     name: str
@@ -59,8 +60,11 @@ class Generator:
         return float(self.fn(np.float64(t)))
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on strictly positive inputs."""
-        return np.asarray(self.fn(np.asarray(t, dtype=float)), dtype=float)
+        """Evaluate f elementwise on an array with t >= 0; entries with
+        t == 0 give the stored limit, and ``fn`` is not called on them."""
+        t = np.asarray(t, dtype=float)
+        zero = t == 0.0  # not t > 0: a NaN entry stays NaN
+        return np.where(zero, self.f_at_zero, self.fn(np.where(zero, 1.0, t)))
 
 
 def kl_generator() -> Generator:

@@ -272,21 +272,19 @@ def search_unconstrained_sup(
             best_value = value
             best_pair = (ext.P, ext.Q)
 
-    if target == INF and best_value < DIVERGENCE_THRESHOLD:
-        if gen.f_at_zero == INF:
-            best_value = INF
-        elif gen.mp_fn is not None:
-            # extremal value at huge M with m = 0 reduces to
-            # delta * (f(0) + f(M)/(M-1)); evaluate outside float range
-            d = mp.mpf(delta)
-            for exp in _MP_SWEEP_EXPONENTS:
-                M = mp.mpf(10) ** exp
-                value = float(d * (mp.mpf(gen.f_at_zero) + gen.mp_fn(M) / (M - 1)))
-                history.append((float(mp.log10(M)), value))
-                if value > best_value:
-                    best_value = value
-                if best_value > DIVERGENCE_THRESHOLD:
-                    break
+    # an infinite f(0+) reads +inf above: every swept pair has a p = 0 atom
+    if target == INF and best_value < DIVERGENCE_THRESHOLD and gen.mp_fn is not None:
+        # extremal value at huge M with m = 0 reduces to
+        # delta * (f(0) + f(M)/(M-1)); evaluate outside float range
+        d = mp.mpf(delta)
+        for exp in _MP_SWEEP_EXPONENTS:
+            M = mp.mpf(10) ** exp
+            value = float(d * (mp.mpf(gen.f_at_zero) + gen.mp_fn(M) / (M - 1)))
+            history.append((float(mp.log10(M)), value))
+            if value > best_value:
+                best_value = value
+            if best_value > DIVERGENCE_THRESHOLD:
+                break
 
     return SearchOutcome(
         best_value=best_value,

@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from revpinsker import (
     INF,
+    batch_f_divergence,
     chi2_generator,
+    custom_generator,
     f_divergence,
     hellinger_generator,
     kl_generator,
@@ -54,12 +57,20 @@ def test_zero_p_atom_uses_limit():
 
 def test_infinite_limit_gives_infinite_divergence():
     # reverse-KL style generator with f(0) = +inf
-    from revpinsker import custom_generator
-
     g = custom_generator(lambda t: -math.log(t), f_at_zero=INF, slope_at_infinity=0.0)
     P = validate_distribution([0.0, 1.0])
     Q = validate_distribution([0.5, 0.5])
     assert f_divergence(g, P, Q) == INF
+
+
+def test_batch_row_with_zero_p_atom_is_inf_alone():
+    g = custom_generator(lambda t: -math.log(t), f_at_zero=INF, slope_at_infinity=0.0)
+    p = np.array([[0.0, 1.0], [0.25, 0.75], [0.5, 0.5]])
+    q = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
+    values = batch_f_divergence(g, p, q)
+    assert values[0] == INF
+    assert values[1] == pytest.approx(-0.5 * math.log(0.5) - 0.5 * math.log(1.5))
+    assert values[2] == 0.0
 
 
 def test_requires_absolute_continuity():

@@ -89,6 +89,18 @@ def test_small_normal_q_weights_stay_in_class():
     assert (m, M) == pytest.approx((0.5, 2.0), rel=1e-12)
 
 
+def test_subnormal_q_weight_with_exact_ratios_stays_in_class():
+    # delta/(M-1) = 1e-308 is below the normal doubles, yet the M atom's
+    # ratio keeps its digits
+    params = ClassParams(tv_cap(0.99999999, 1e300), 0.99999999, 1e300)
+    pair = ternary_extremal(params)
+    assert 0.0 < pair.Q.weights[1] < 2.0**-1022
+    delta, m, M = measure_pair(pair.P, pair.Q)
+    assert abs(delta - params.delta) <= 1e-12
+    assert abs(m - params.m) <= 1e-12
+    assert abs(M - params.M) <= 1e-12 * params.M
+
+
 @pytest.mark.parametrize("m, M", [(0.98046875, 766828.0), (1.0 - 1e-6, 1e6)])
 def test_construction_near_m_one_with_large_M(m, M):
     # 1 - q = (1 - m)/(M - m) is tiny here; forming it as 1 - q loses digits

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from revpinsker import (
@@ -164,3 +165,19 @@ def test_scalar_only_custom_generator_matches_kl():
 def test_array_custom_generator_is_not_wrapped():
     f = lambda t: (t - 1.0) ** 2  # noqa: E731
     assert custom_generator(f, f_at_zero=1.0, slope_at_infinity=INF).fn is f
+
+
+@pytest.mark.parametrize("gen", [
+    kl_generator(),
+    tv_generator(),
+    chi2_generator(),
+    hellinger_generator(0.5),
+    hellinger_generator(3),
+    # scalar-only: math.log raises at 0, so fn must not be called there
+    custom_generator(lambda t: -math.log(t), f_at_zero=INF, slope_at_infinity=0.0),
+], ids=lambda gen: gen.name)
+def test_evaluate_at_zero_returns_the_limit(gen):
+    values = gen.evaluate(np.array([0.0, 2.0, math.nan]))
+    assert values[0] == gen.f_at_zero
+    assert math.isfinite(values[1])
+    assert math.isnan(values[2])  # masked by t == 0, so NaN stays NaN

@@ -7,6 +7,7 @@ from revpinsker import (
     ClassParams,
     SearchConfig,
     chi2_generator,
+    custom_generator,
     falsify_feasibility,
     hellinger_generator,
     kl_generator,
@@ -15,6 +16,7 @@ from revpinsker import (
     search_sup,
     search_unconstrained_sup,
     ternary_extremal,
+    tv_cap,
     tv_generator,
     verify_membership,
 )
@@ -25,8 +27,8 @@ PARAMS = ClassParams(0.25, 0.5, 2.0)
 
 
 class TestTinyScaleClasses:
-    # ternary_extremal raises for a Q weight below the normal doubles; the
-    # oracle builds every sample from that pair and inherits the check
+    # t (1 - q) = 1e-600 underflows, so ternary_extremal raises for a zero Q
+    # weight; the oracle builds every sample from that pair and inherits the check
     PARAMS = ClassParams(1e-300, 1e-300, 1e300)
 
     def test_sample_pair_in_class_raises(self):
@@ -36,6 +38,12 @@ class TestTinyScaleClasses:
     def test_search_sup_raises(self):
         with pytest.raises(InvalidParams):
             search_sup(kl_generator(), self.PARAMS, SearchConfig(trials=10))
+
+    def test_search_sup_with_subnormal_q_weight_is_sound(self):
+        # a Q weight of 1e-308 is subnormal, but the pair is within 1e-12 of its class
+        params = ClassParams(tv_cap(0.99999999, 1e300), 0.99999999, 1e300)
+        out = search_sup(kl_generator(), params, SearchConfig(trials=500))
+        assert out.violations == 0
 
 
 class TestSamplePair:
@@ -183,6 +191,16 @@ class TestUnconstrainedSweep:
         out = search_unconstrained_sup(kl_generator(), 0.3, SearchConfig())
         assert out.bound == math.inf
         assert out.best_value > DIVERGENCE_THRESHOLD
+
+    @pytest.mark.parametrize("delta", [0.05, 0.3, 0.9])
+    def test_infinite_limit_at_zero_reads_inf(self, delta):
+        # f(0+) = +inf: every swept pair has a p = 0 atom where Q has mass
+        gen = custom_generator(lambda t: -math.log(t), math.inf, 0.0)
+        out = search_unconstrained_sup(gen, delta, SearchConfig())
+        assert out.bound == math.inf
+        assert out.best_value == math.inf
+        assert len(out.history) == 41
+        assert out.history[0][1] == math.inf
 
     def test_zero_delta(self):
         out = search_unconstrained_sup(kl_generator(), 0.0, SearchConfig())

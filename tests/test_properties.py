@@ -9,10 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from revpinsker import (
     INF,
     ClassParams,
+    batch_f_divergence,
     chi2_generator,
     chord_bound,
     chord_slope_gap,
     corollary1_bound,
+    custom_generator,
     f_divergence,
     hellinger_generator,
     kl_generator,
@@ -60,6 +62,34 @@ def test_nonnegativity(raw_p, raw_q):
     P, Q = strictly_positive_pair(raw_p, raw_q)
     for gen in GENERATORS:
         assert f_divergence(gen, P, Q) >= -1e-12
+
+
+#: a scalar-only generator with f(0+) = +inf (reverse KL)
+REVERSE_KL = custom_generator(lambda t: -math.log(t), f_at_zero=INF, slope_at_infinity=0.0)
+
+# an atom's raw (p, q) weights; p is 0 wherever q is, so every pair is
+# absolutely continuous, and p = 0 atoms with q > 0 occur
+atom = st.tuples(
+    st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
+    st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
+).map(lambda a: (a[0] if a[1] > 0 else 0.0, a[1]))
+
+
+@given(
+    st.sampled_from(GENERATORS + [REVERSE_KL]),
+    st.lists(atom, min_size=1, max_size=8).filter(
+        lambda atoms: min(sum(p for p, _ in atoms), sum(q for _, q in atoms)) > 0
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_f_divergence_is_the_batch_row(gen, atoms):
+    P = normalized([p for p, _ in atoms])
+    Q = normalized([q for _, q in atoms])
+    # the pair is row 0 of a batch whose row 1 is (Q, Q)
+    p = np.stack([P.weights, Q.weights])
+    q = np.stack([Q.weights, Q.weights])
+    row = batch_f_divergence(gen, p, q)[0]
+    assert f_divergence(gen, P, Q).hex() == float(row).hex()
 
 
 @given(weights)
