@@ -5,7 +5,8 @@ For every grid point and every stock divergence, searches for in-class pairs
 whose divergence exceeds the optimal bound. Prints one line per divergence
 with the worst relative gap (best_value - bound)/bound; the search is seeded
 with the extremal pair, so gaps sit at rounding level (~1e-13) when the bound
-is tight. Exits 1 if any pair beats the bound beyond the search tolerance.
+is tight. Exits 1 if any pair beats the bound beyond rounding
+(``revpinsker.oracle.TOLERANCE``, relative once the bound exceeds 1).
 """
 
 import argparse

@@ -95,4 +95,4 @@ __all__ = [
     "verify_membership",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

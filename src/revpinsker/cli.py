@@ -151,12 +151,10 @@ def _cmd_bound(args) -> int:
         if args.m is None or args.M is None:
             raise ParseError("cor1 needs --m and --M")
         value = corollary1_bound(gen, args.m, args.M)
-    elif args.formula == "cor2":
+    else:  # cor2; argparse restricts --formula to the three choices
         if args.delta is None:
             raise ParseError("cor2 needs --delta")
         value = vajda_bound(gen, args.delta)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown formula {args.formula!r}")
     _emit_record(_record("bound", inputs, {"bound": report(value)}), args.format)
     return EXIT_OK
 
@@ -265,8 +263,6 @@ def comparison_rows(comparator: str, alpha: float):
 
 
 def _cmd_compare(args) -> int:
-    if args.grid != "default":
-        raise ParseError("only --grid default is supported")
     print(COMPARE_HEADER)
     ok = True
     for row in comparison_rows(args.comparator, args.alpha):
@@ -279,15 +275,8 @@ def _cmd_compare(args) -> int:
 def _cmd_fuzz(args) -> int:
     gen, report = _resolve_divergence(args.div)
     params = ClassParams(delta=args.delta, m=args.m, M=args.M)
-    config = SearchConfig(
-        support_size=args.n,
-        trials=args.trials,
-        seed=args.seed,
-        perturbation_steps=args.steps,
-        step_scale=args.step_scale,
-        tolerance=args.tol,
-    )
-    outcome = search_sup(gen, params, config, seed_extremal=not args.no_seed_extremal)
+    config = SearchConfig(support_size=args.n, trials=args.trials, seed=args.seed)
+    outcome = search_sup(gen, params, config)
     # report is monotone, so it keeps the ordering and the violation count
     best, bound = report(outcome.best_value), report(outcome.bound)
     record = _record(
@@ -342,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("compare", help="dominance table against prior bounds")
-    p.add_argument("--grid", default="default")
+    p.add_argument("--grid", choices=("default",), default="default")
     p.add_argument(
         "--comparator",
         choices=("simic", "sason-chi2", "sason-renyi", "verdu"),
@@ -357,10 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=6)
-    p.add_argument("--steps", type=int, default=4)
-    p.add_argument("--step-scale", type=_parse_extended, default=0.9)
-    p.add_argument("--tol", type=_parse_extended, default=1e-10)
-    p.add_argument("--no-seed-extremal", action="store_true")
     add_common(p)
     p.set_defaults(func=_cmd_fuzz)
 

@@ -14,7 +14,7 @@ from .bounds import ClassParams, theorem1_bound
 from .distributions import Distribution, validate_distribution
 from .divergence import f_divergence, measure_pair
 from .errors import InvalidParams
-from .extended import INF, bound_gap
+from .extended import bound_gap
 from .generators import Generator
 
 #: largest |p/q - m| at the m atom, and |p/q - M| / M at the M atom, of a built pair
@@ -92,7 +92,8 @@ def verify_membership(
     tol: float = 1e-9,
     generators: tuple[Generator, ...] = (),
 ) -> PairReport:
-    """Check whether (P, Q) lies in the class given by params, to tolerance.
+    """Check whether (P, Q) lies in the class given by params, to tolerance:
+    delta and m to ``tol`` absolute, M to ``tol`` relative to M.
 
     For each supplied generator the report also carries D_f(P || Q), the
     optimal bound at the target parameters, and their gap (``bound_gap``:
@@ -100,7 +101,9 @@ def verify_membership(
     delta, m, M = measure_pair(P, Q)
     dd = abs(delta - params.delta)
     dm = abs(m - params.m)
-    dM = abs(M - params.M) if params.M != INF else (0.0 if M == INF else INF)
+    # relative to M, as RATIO_TOLERANCE is: 0 when M-hat == M, inf included,
+    # and 1 (the limit of |M-hat - M| / M) for a finite M-hat against M = inf
+    dM = 0.0 if M == params.M else abs(M / params.M - 1.0)
     passed = dd <= tol and dm <= tol and dM <= tol
     divergences: dict[str, float] = {}
     bounds: dict[str, float] = {}

@@ -162,14 +162,15 @@ def custom_generator(
     if not (f_at_zero > -INF):
         raise InvalidParams(f"need f(0+) > -inf, got {f_at_zero!r}")
     anchor = float(f(1.0))
-    if abs(anchor) > ANCHOR_TOLERANCE:
+    # written as not (... <= ...) so that a NaN fails the check
+    if not (abs(anchor) <= ANCHOR_TOLERANCE):
         raise FailsAnchorCheck(f"f(1) = {anchor!r}, expected 0")
     rng = np.random.default_rng(_CONVEXITY_SEED)
     for s, u in _convexity_triples(rng, CONVEXITY_SAMPLES):
         fs, fu = float(f(s)), float(f(u))
         mid = float(f((s + u) / 2.0))
         scale = max(1.0, abs(fs), abs(fu))
-        if mid > 0.5 * (fs + fu) + 1e-9 * scale:
+        if not (mid <= 0.5 * (fs + fu) + 1e-9 * scale):
             raise FailsConvexitySample(
                 f"midpoint convexity violated on ({s!r}, {u!r})"
             )
@@ -190,8 +191,6 @@ def chord_bound(gen_or_convex, a: float, b: float, mean: float) -> float:
     chord of f through the endpoints evaluated at the mean.
     """
     a, b, mean = float(a), float(b), float(mean)
-    if a == b:
-        raise DegenerateInterval("chord needs a < b")
     if not (a < b) or not math.isfinite(a) or not math.isfinite(b):
         raise DegenerateInterval(f"invalid interval [{a}, {b}]")
     if not (a <= mean <= b):

@@ -14,6 +14,10 @@ a batch: the split normalizes the weights with one ``np.bincount`` over
 the row's contiguous run of band members in ``np.flatnonzero(band)``, so a
 step costs O(trials) whatever the support size.
 
+``search_sup`` seeds its best with the extremal pair, which attains the
+bound.  Its settings are the constants below; a caller picks only the
+support size, the trial count and the seed (``SearchConfig``).
+
 The oracle adds no class checks of its own: ``theorem1_bound`` and
 ``ternary_extremal`` ask the one class guard, ``ClassParams.check_finite``.
 Only ``falsify_feasibility`` calls ``feasible``, to test it against an
@@ -38,6 +42,21 @@ from .generators import Generator
 #: proxy threshold for "the supremum is infinite" in unconstrained sweeps
 DIVERGENCE_THRESHOLD = 1e6
 
+#: mass-transfer steps per sampled pair
+PERTURBATION_STEPS = 4
+
+#: share of the largest in-class move that one transfer step may take
+STEP_SCALE = 0.9
+
+#: a value beats a bound when it exceeds bound + TOLERANCE * max(1, bound)
+TOLERANCE = 1e-10
+
+#: largest |delta - target| at which the member search counts a match
+MATCH_TOLERANCE = 1e-6
+
+#: rows sampled and evaluated at once by ``search_sup``
+_CHUNK_ROWS = 20_000
+
 #: decimal exponents for the extended-precision tail of the unconstrained
 #: sweep, reaching far beyond float range
 _MP_SWEEP_EXPONENTS = (16, 32, 64, 128, 256, 1_000, 10_000, 100_000, 1_000_000, 10_000_000)
@@ -45,22 +64,18 @@ _MP_SWEEP_EXPONENTS = (16, 32, 64, 128, 256, 1_000, 10_000, 100_000, 1_000_000, 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Deterministic search settings; identical configs give identical runs."""
+    """What a search samples: pairs on ``support_size`` atoms, ``trials`` of
+    them, drawn from ``seed``; identical configs give identical runs."""
 
     support_size: int = 6
     trials: int = 1000
     seed: int = 0
-    perturbation_steps: int = 4
-    step_scale: float = 0.9
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         if not (3 <= self.support_size <= 12):
             raise InvalidParams("support_size must be in [3, 12]")
         if self.trials < 1:
             raise InvalidParams("trials must be positive")
-        if not (0.0 < self.step_scale <= 1.0):
-            raise InvalidParams("step_scale must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -68,11 +83,17 @@ class SearchOutcome:
     """Result of a search: the best pair found versus the claimed bound."""
 
     best_value: float
-    best_pair: tuple[Distribution, Distribution] | None
+    best_pair: tuple[Distribution, Distribution]
     bound: float
     gap: float
     violations: int
     history: tuple = ()
+
+
+def _beats(value, bound: float):
+    """Whether value (a float or an array) beats bound by more than
+    rounding: by TOLERANCE below bound 1, by TOLERANCE relative above it."""
+    return value > bound + TOLERANCE * max(1.0, bound)
 
 
 def _sample_batch(
@@ -82,7 +103,6 @@ def _sample_batch(
     trials: int,
     rng: np.random.Generator,
     steps: int,
-    step_scale: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked weight arrays (trials, n) of pairs lying exactly in the class.
 
@@ -101,7 +121,7 @@ def _sample_batch(
     counts``; the runs are found once.  Each step draws, for every row with
     at least two members in a band, a donor uniformly from the run and a
     recipient uniformly from the rest of it, and moves
-    eps = max(u * step_scale * min(give, take), 0) of P mass between them
+    eps = max(u * STEP_SCALE * min(give, take), 0) of P mass between them
     through a flat view of p.  A move keeps both ratios in the band, leaves
     the anchors at m and M and leaves sum |p - q| unchanged; a step costs
     O(trials) whatever n is.  At delta = 0 the base is P = Q = (1): the
@@ -167,7 +187,7 @@ def _sample_batch(
         recipient = members[r]
         eps = np.minimum(pf[donor] - floor_q[d], ceil_q[r] - pf[recipient])
         eps *= u[2]
-        eps *= step_scale
+        eps *= STEP_SCALE
         np.maximum(eps, 0.0, out=eps)
         pf[donor] -= eps
         pf[recipient] += eps
@@ -175,58 +195,38 @@ def _sample_batch(
 
 
 def sample_pair_in_class(
-    params: ClassParams, n: int, seed: int, config: SearchConfig | None = None
+    params: ClassParams, n: int, seed: int
 ) -> tuple[Distribution, Distribution]:
     """One pair with measured (delta, m, M) matching params to ~1e-9."""
-    cfg = config or SearchConfig()
     rng = np.random.default_rng(seed)
-    p, q = _sample_batch(
-        params, ternary_extremal(params), n, 1, rng, cfg.perturbation_steps, cfg.step_scale
-    )
+    p, q = _sample_batch(params, ternary_extremal(params), n, 1, rng, PERTURBATION_STEPS)
     return validate_distribution(p[0]), validate_distribution(q[0])
 
 
-def search_sup(
-    gen: Generator,
-    params: ClassParams,
-    config: SearchConfig,
-    seed_extremal: bool = True,
-) -> SearchOutcome:
+def search_sup(gen: Generator, params: ClassParams, config: SearchConfig) -> SearchOutcome:
     """Randomized search for the supremum of D_f over the class.
 
-    Soundness: no sampled pair may exceed the closed-form bound plus the
-    configured tolerance.  Tightness: with the extremal pair seeded, the gap
-    at the best pair is numerically zero.
+    The extremal pair seeds the best value and the violation count; a
+    sampled pair replaces it only when strictly larger.  Soundness: no pair
+    beats the closed-form bound (``_beats``).  Tightness: the gap at the
+    best pair is numerically zero.
     """
     bound = theorem1_bound(gen, params)
     ext = ternary_extremal(params)
     rng = np.random.default_rng(config.seed)
 
-    best_value = -INF
-    best_pair: tuple[Distribution, Distribution] | None = None
-    violations = 0
-    remaining = config.trials
-    while remaining > 0:
-        batch = min(remaining, 20_000)
-        p, q = _sample_batch(
-            params, ext, config.support_size, batch, rng,
-            config.perturbation_steps, config.step_scale,
-        )
+    best_value = f_divergence(gen, ext.P, ext.Q)
+    best_pair = (ext.P, ext.Q)
+    violations = int(_beats(best_value, bound))
+    for start in range(0, config.trials, _CHUNK_ROWS):
+        batch = min(_CHUNK_ROWS, config.trials - start)
+        p, q = _sample_batch(params, ext, config.support_size, batch, rng, PERTURBATION_STEPS)
         values = batch_f_divergence(gen, p, q)
-        violations += int(np.count_nonzero(values > bound + config.tolerance))
+        violations += int(np.count_nonzero(_beats(values, bound)))
         i = int(values.argmax())
         if values[i] > best_value:
             best_value = float(values[i])
             best_pair = (validate_distribution(p[i]), validate_distribution(q[i]))
-        remaining -= batch
-
-    if seed_extremal:
-        v = f_divergence(gen, ext.P, ext.Q)
-        if v > bound + config.tolerance:
-            violations += 1
-        if v > best_value:
-            best_value = v
-            best_pair = (ext.P, ext.Q)
 
     return SearchOutcome(
         best_value=best_value,
@@ -237,9 +237,7 @@ def search_sup(
     )
 
 
-def search_unconstrained_sup(
-    gen: Generator, delta: float, config: SearchConfig
-) -> SearchOutcome:
+def search_unconstrained_sup(gen: Generator, delta: float) -> SearchOutcome:
     """Sweep the ratio supremum upward (m = 0) at fixed total variation.
 
     Evaluates the extremal pair along a geometric grid of M; the values are
@@ -266,7 +264,7 @@ def search_unconstrained_sup(
         ext = ternary_extremal(prm)
         value = f_divergence(gen, ext.P, ext.Q)
         history.append((float(M), value))
-        if target != INF and value > target + config.tolerance:
+        if _beats(value, target):
             violations += 1
         if value > best_value:
             best_value = value
@@ -296,8 +294,9 @@ def search_unconstrained_sup(
     )
 
 
-def _search_for_member(params: ClassParams, config: SearchConfig, match_tol: float) -> bool:
-    """Penalized search: can any 3-atom pair match (delta, m, M) to match_tol?
+def _search_for_member(params: ClassParams, config: SearchConfig) -> bool:
+    """Penalized search: can any 3-atom pair match (delta, m, M) to
+    MATCH_TOLERANCE?
 
     A pair whose ratio extremes are exactly (m, M) has, up to permutation and
     merging of equal-ratio atoms, ratios (m, M, r) with r pinned by the
@@ -306,7 +305,7 @@ def _search_for_member(params: ClassParams, config: SearchConfig, match_tol: flo
     """
     delta, m, M = params.delta, params.m, params.M
     if m == 1.0 and M == 1.0:
-        return delta <= match_tol  # P = Q is the only member shape
+        return delta <= MATCH_TOLERANCE  # P = Q is the only member shape
     if m == 1.0 or M == 1.0:
         # all ratios on one side of 1 with Q-mean 1 collapse to ratio 1;
         # the off-1 extreme is unattainable
@@ -324,18 +323,16 @@ def _search_for_member(params: ClassParams, config: SearchConfig, match_tol: flo
     if ok.any():
         d = 0.5 * (q1 * (1.0 - m) + q2 * (M - 1.0) + q3 * np.abs(r3 - 1.0))
         gaps.append(float(np.abs(d[ok] - delta).min()))
-    return min(gaps) <= match_tol
+    return min(gaps) <= MATCH_TOLERANCE
 
 
-def falsify_feasibility(
-    params: ClassParams, config: SearchConfig, match_tol: float = 1e-6
-) -> bool:
+def falsify_feasibility(params: ClassParams, config: SearchConfig) -> bool:
     """True when search agrees with the feasibility predicate.
 
     Feasible params must yield a verified in-class sample; infeasible params
     must defeat the penalized member search.
     """
     if feasible(params):
-        P, Q = sample_pair_in_class(params, config.support_size, config.seed, config)
+        P, Q = sample_pair_in_class(params, config.support_size, config.seed)
         return verify_membership(P, Q, params, tol=1e-9).passed
-    return not _search_for_member(params, config, match_tol)
+    return not _search_for_member(params, config)

@@ -162,6 +162,16 @@ class TestVerify:
         )
         assert rec["status"] == "fail"
 
+    def test_extremal_pair_at_huge_M_passes(self, capsys):
+        # the printed pair's measured M is off by 1.5e-8, 1.5e-16 relative
+        cls = ("--delta", "0.24999999875", "--m", "0.5", "--M", "1e8")
+        _, rec = main_record(capsys, "extremal", *cls)
+        P, Q = (",".join(map(repr, rec["results"][k])) for k in ("P", "Q"))
+        code, rec = main_record(capsys, "verify", "--p", P, "--q", Q, *cls)
+        assert code == 0
+        assert rec["status"] == "pass"
+        assert rec["results"]["deviation_M"] <= 1e-15
+
 
 class TestCompare:
     @pytest.mark.parametrize("comparator", ["simic", "sason-chi2", "sason-renyi", "verdu"])
@@ -176,6 +186,12 @@ class TestCompare:
             new, prior, ratio = map(as_float, fields[3:6])
             assert prior >= new - 1e-12
             assert ratio >= 1.0 - 1e-9
+
+    def test_unknown_grid_exit_3(self, capsys):
+        from revpinsker.cli import main
+
+        assert main(["compare", "--grid", "x", "--comparator", "simic"]) == 3
+        assert capsys.readouterr().out == ""
 
 
 class TestFuzz:
@@ -200,6 +216,22 @@ class TestFuzz:
         result = run("fuzz", "--div", "kl", "--delta", "0.9", "--m", "0.5",
                      "--M", "2", "--trials", "10", "--seed", "0")
         assert result.returncode == 2
+
+    def test_large_bound_is_not_violated_by_rounding(self, capsys):
+        # the best value beats the bound 4999999.5 by 3.7e-9, 7.5e-16 relative
+        code, rec = main_record(capsys, "fuzz", "--div", "chi2", "--delta",
+                                "0.49999997499999876", "--m", "0.5", "--M", "1e7",
+                                "--trials", "2000", "--seed", "1")
+        assert code == 0
+        assert rec["results"]["violations"] == 0
+
+    @pytest.mark.parametrize("flag", [("--steps", "4"), ("--step-scale", "0.9"),
+                                      ("--tol", "1e-10"), ("--no-seed-extremal",)])
+    def test_removed_settings_exit_3(self, flag):
+        from revpinsker.cli import main
+
+        assert main(["fuzz", "--div", "kl", "--delta", "0.25", "--m", "0.5",
+                     "--M", "2", *flag]) == 3
 
     def test_support_size_below_three_exit_2(self):
         result = run("fuzz", "--div", "kl", "--delta", "0.25", "--m", "0.5",
@@ -325,12 +357,17 @@ class TestRenyi:
 
 
 class TestGoldenStdout:
-    """Exact stdout bytes, captured from revpinsker 0.1.0 into tests/golden."""
+    """Exact stdout bytes, captured from revpinsker 0.1.0 into tests/golden;
+    the fuzz files were captured before the search's settings became
+    constants, and pin that seeded output did not change."""
 
     GOLDEN = Path(__file__).resolve().parent / "golden"
     BOUND = ("bound", "--div", "kl", "--formula", "cor2", "--delta", "0.3",
              "--m=-inf", "--M", "inf")
     EXTREMAL = ("extremal", "--delta", "0.2", "--m", "0.25", "--M", "5")
+    FUZZ = ("fuzz", "--div", "kl", "--delta", "0.25", "--m", "0.5", "--M", "2",
+            "--trials", "2000", "--seed", "31337")
+    CLASS = ("--delta", "0.2", "--m", "0.25", "--M", "5")
 
     @pytest.mark.parametrize("args, golden", [
         (BOUND, "bound_cor2.json"),
@@ -338,6 +375,13 @@ class TestGoldenStdout:
         (EXTREMAL, "extremal.json"),
         (EXTREMAL + ("--format", "csv"), "extremal.csv"),
         (("compare", "--comparator", "sason-chi2"), "compare_sason_chi2.csv"),
+        (FUZZ, "fuzz_readme.json"),
+        (FUZZ + ("--format", "csv"), "fuzz_readme.csv"),
+        (("fuzz", "--div", "renyi:2", *CLASS, "--trials", "1000", "--seed", "7"),
+         "fuzz_renyi2.json"),
+        # crosses the sampler's 20 000-row chunk boundary
+        (("fuzz", "--div", "chi2", *CLASS, "--trials", "25000", "--n", "12", "--seed", "3"),
+         "fuzz_chunked.json"),
     ])
     def test_stdout_bytes(self, args, golden, capsys):
         from revpinsker.cli import main

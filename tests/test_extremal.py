@@ -160,6 +160,24 @@ def test_verify_membership_identical_pair():
     assert report.deviation_delta == 0.0
 
 
+def test_verify_membership_measures_M_relative_to_M():
+    # the pair's measured M is 1e8 + 1.5e-8, an error of 1.5e-16 relative
+    params = ClassParams(0.5 * tv_cap(0.5, 1e8), 0.5, 1e8)
+    pair = ternary_extremal(params)
+    report = verify_membership(pair.P, pair.Q, params)
+    assert report.measured_M != 1e8
+    assert report.deviation_M <= 1e-15
+    assert report.passed
+
+
+def test_verify_membership_finite_M_against_infinite_target():
+    P = validate_distribution([0.25, 0.5, 0.25])
+    Q = validate_distribution([0.5, 0.25, 0.25])
+    report = verify_membership(P, Q, ClassParams(0.25, 0.5, math.inf))
+    assert report.deviation_M == 1.0
+    assert not report.passed
+
+
 def test_verify_membership_detects_wrong_delta():
     P = validate_distribution([0.25, 0.5, 0.25])
     Q = validate_distribution([0.5, 0.25, 0.25])

@@ -95,6 +95,16 @@ def test_custom_generator_rejects_bad_anchor():
         custom_generator(lambda t: t * t, f_at_zero=0.0, slope_at_infinity=INF)
 
 
+def test_custom_generator_rejects_nan_anchor():
+    with pytest.raises(FailsAnchorCheck):
+        custom_generator(lambda t: math.nan, 0.0, 1.0)
+
+
+def test_custom_generator_rejects_nan_off_the_anchor():
+    with pytest.raises(FailsConvexitySample):
+        custom_generator(lambda t: 0.0 if t == 1.0 else math.nan, 0.0, 1.0)
+
+
 def test_custom_generator_rejects_minus_inf_at_zero():
     with pytest.raises(InvalidParams):
         custom_generator(lambda t: t - 1.0, f_at_zero=-INF, slope_at_infinity=1.0)

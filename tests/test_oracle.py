@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from revpinsker import (
     ClassParams,
     SearchConfig,
+    batch_f_divergence,
     chi2_generator,
     custom_generator,
     falsify_feasibility,
@@ -16,12 +18,13 @@ from revpinsker import (
     search_sup,
     search_unconstrained_sup,
     ternary_extremal,
+    theorem1_bound,
     tv_cap,
     tv_generator,
     verify_membership,
 )
 from revpinsker.errors import Infeasible, InvalidParams
-from revpinsker.oracle import DIVERGENCE_THRESHOLD, _sample_batch
+from revpinsker.oracle import DIVERGENCE_THRESHOLD, _beats, _sample_batch
 
 PARAMS = ClassParams(0.25, 0.5, 2.0)
 
@@ -88,7 +91,7 @@ class TestSampleBatch:
     def ratios(self, steps, n):
         params = self.INTERIOR
         rng = np.random.default_rng(17)
-        p, q = _sample_batch(params, ternary_extremal(params), n, 500, rng, steps, 0.9)
+        p, q = _sample_batch(params, ternary_extremal(params), n, 500, rng, steps)
         return p / q
 
     def test_split_alone_keeps_parent_ratios(self):
@@ -116,7 +119,7 @@ class TestSampleBatch:
     def test_zero_delta_rows_are_identical_pairs(self, params, n):
         # the one-atom base P = Q = (1) splits into p == q; transfers move 0
         rng = np.random.default_rng(n)
-        p, q = _sample_batch(params, ternary_extremal(params), n, 200, rng, 8, 0.9)
+        p, q = _sample_batch(params, ternary_extremal(params), n, 200, rng, 8)
         np.testing.assert_array_equal(p, q)
         assert np.all(p > 0.0)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -153,14 +156,38 @@ class TestSearchSup:
         assert out.violations == 0
 
     def test_unseeded_gap_is_nonnegative(self):
-        out = search_sup(
-            kl_generator(),
-            PARAMS,
-            SearchConfig(trials=3000, seed=5),
-            seed_extremal=False,
-        )
+        # the 3000 rows that search_sup draws at seed 5, without the extremal pair
+        p, q = _sample_batch(PARAMS, ternary_extremal(PARAMS), 6, 3000,
+                             np.random.default_rng(5), 4)
+        gen = kl_generator()
+        assert np.all(batch_f_divergence(gen, p, q) <= theorem1_bound(gen, PARAMS) + 1e-12)
+
+    def test_extremal_pair_wins_a_tie(self):
+        # at delta = 0 every sampled 6-atom row ties the one-atom extremal pair
+        out = search_sup(kl_generator(), ClassParams(0.0, 1.0, 1.0),
+                         SearchConfig(trials=50, seed=0))
+        assert [d.weights.tolist() for d in out.best_pair] == [[1.0], [1.0]]
+
+    def test_large_bound_tolerance_is_relative(self):
+        # sampled values beat this bound by rounding in its large f(M) terms
+        params = ClassParams(tv_cap(0.5, 1e3), 0.5, 1e3)
+        out = search_sup(hellinger_generator(3), params, SearchConfig(trials=2000, seed=1))
         assert out.violations == 0
-        assert out.gap >= -1e-12
+
+    @pytest.mark.parametrize("bound, value, beats", [
+        (0.5, 0.5 + 2e-10, True),
+        (0.5, 0.5 + 5e-11, False),
+        (1e6, 1e6 + 1e-5, False),
+        (1e6, 1e6 + 1e-3, True),
+        (math.inf, 1e300, False),
+    ])
+    def test_violation_rule(self, bound, value, beats):
+        assert _beats(value, bound) == beats
+        assert _beats(np.array([value]), bound)[0] == beats
+
+    def test_config_has_only_caller_settings(self):
+        names = [f.name for f in dataclasses.fields(SearchConfig)]
+        assert names == ["support_size", "trials", "seed"]
 
     def test_deterministic_outcome(self):
         cfg = SearchConfig(trials=2000, seed=99)
@@ -173,14 +200,14 @@ class TestSearchSup:
 
 class TestUnconstrainedSweep:
     def test_tv_is_flat_at_delta(self):
-        out = search_unconstrained_sup(tv_generator(), 0.3, SearchConfig())
+        out = search_unconstrained_sup(tv_generator(), 0.3)
         assert out.bound == pytest.approx(0.3)
         assert out.best_value == pytest.approx(0.3, abs=1e-12)
         values = [v for _, v in out.history]
         assert all(abs(v - 0.3) <= 1e-12 for v in values)
 
     def test_hellinger_half_approaches_vajda(self):
-        out = search_unconstrained_sup(hellinger_generator(0.5), 0.3, SearchConfig())
+        out = search_unconstrained_sup(hellinger_generator(0.5), 0.3)
         assert out.bound == pytest.approx(0.6)
         values = [v for _, v in out.history]
         # nondecreasing in M up to one-ulp jitter
@@ -188,7 +215,7 @@ class TestUnconstrainedSweep:
         assert abs(out.best_value - 0.6) / 0.6 <= 1e-6
 
     def test_kl_diverges_past_threshold(self):
-        out = search_unconstrained_sup(kl_generator(), 0.3, SearchConfig())
+        out = search_unconstrained_sup(kl_generator(), 0.3)
         assert out.bound == math.inf
         assert out.best_value > DIVERGENCE_THRESHOLD
 
@@ -196,14 +223,14 @@ class TestUnconstrainedSweep:
     def test_infinite_limit_at_zero_reads_inf(self, delta):
         # f(0+) = +inf: every swept pair has a p = 0 atom where Q has mass
         gen = custom_generator(lambda t: -math.log(t), math.inf, 0.0)
-        out = search_unconstrained_sup(gen, delta, SearchConfig())
+        out = search_unconstrained_sup(gen, delta)
         assert out.bound == math.inf
         assert out.best_value == math.inf
         assert len(out.history) == 41
         assert out.history[0][1] == math.inf
 
     def test_zero_delta(self):
-        out = search_unconstrained_sup(kl_generator(), 0.0, SearchConfig())
+        out = search_unconstrained_sup(kl_generator(), 0.0)
         assert out.best_value == 0.0
         assert out.bound == 0.0
 

@@ -206,7 +206,7 @@ def test_sampled_rows_lie_in_class(m, M, cap_fraction, n, steps, seed):
     # distributions in exactly this class
     params = ClassParams(cap_fraction * tv_cap(m, M), m, M)
     rng = np.random.default_rng(seed)
-    p, q = _sample_batch(params, ternary_extremal(params), n, 64, rng, steps, 0.9)
+    p, q = _sample_batch(params, ternary_extremal(params), n, 64, rng, steps)
     assert p.shape == q.shape == (64, n)
     assert not np.any((q == 0.0) & (p > 0.0))  # absolutely continuous
     assert np.all(p >= 0.0) and np.all(q >= 0.0)
