@@ -22,9 +22,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="Renyi order for the sason-renyi table")
     args = parser.parse_args(argv)
 
+    # every row first, so a domain error writes no table
+    tables = {c: list(comparison_rows(c, args.alpha)) for c in COMPARATORS}
     args.outdir.mkdir(parents=True, exist_ok=True)
-    for comparator in COMPARATORS:
-        rows = list(comparison_rows(comparator, args.alpha))
+    for comparator, rows in tables.items():
         path = args.outdir / f"compare_{comparator.replace('-', '_')}.csv"
         lines = [COMPARE_HEADER] + [csv_row(row) for row in rows]
         path.write_text("\n".join(lines) + "\n")

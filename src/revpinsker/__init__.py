@@ -7,6 +7,7 @@ and tightness.
 """
 
 from .bounds import (
+    INF,
     ClassParams,
     chord_slope_gap,
     corollary1_bound,
@@ -33,7 +34,6 @@ from .divergence import (
     measure_pair,
     renyi_from_hellinger,
 )
-from .extended import INF
 from .extremal import ExtremalPair, PairReport, ternary_extremal, verify_membership
 from .generators import (
     Generator,
@@ -95,4 +95,4 @@ __all__ = [
     "verify_membership",
 ]
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

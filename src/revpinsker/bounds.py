@@ -9,10 +9,22 @@ kl_bound_ab keeps its own form: its near-1 series beats the plain secant.
 Simic's (KL) and Sason's (chi-squared) weaker comparators fill the dominance
 tables.
 
+Values are plain IEEE doubles, +-inf included.  IEEE leaves two forms the
+bounds meet undefined, and each has one rule here.  The zero-TV rule,
+``_scaled_gap``, reads delta * chord_slope_gap(gen, m, M) as 0 at delta = 0
+(P = Q), where the coefficient can be 0/0 or +inf and 0 * inf is NaN;
+theorem1_bound, corollary1_bound and vajda_bound take it.  The gap rule,
+``bound_gap``, reads bound - value as 0 when both are +inf (inf - inf is
+NaN).  A limit at +inf that IEEE would form as inf / inf, hence NaN, is
+taken in place by the function that meets it (``tv_cap``,
+``chord_slope_gap``, ``log_over_x_minus_1``).
+
 Every function that needs a non-empty class with finite M asks the one class
 guard, ``ClassParams.check_finite``, which raises Infeasible and then
-UnboundedM.  The raw-float domain checks on delta and on 0 <= m <= 1 <= M
-each have one helper, shared by ``ClassParams`` and the float-argument bounds.
+UnboundedM.  kl_bound_ab, whose b = +inf is m = 0, raises Infeasible unless
+``feasible`` holds for its class (delta, 1/b, 1/a).  The raw-float domain
+checks on delta and on 0 <= m <= 1 <= M each have one helper, shared by
+``ClassParams`` and the float-argument bounds.
 """
 
 from __future__ import annotations
@@ -22,8 +34,9 @@ from dataclasses import dataclass
 
 from .divergence import renyi_from_hellinger
 from .errors import Infeasible, InvalidParams, LogDomain, UnboundedM
-from .extended import INF
 from .generators import Generator, hellinger_generator
+
+INF = math.inf
 
 #: rounding slack of the feasibility test: relative on the total-variation
 #: cap, absolute on M - m when m or M is 1
@@ -115,25 +128,32 @@ def chord_slope_gap(gen: Generator, m: float, M: float) -> float:
     return gen(m) / (1.0 - m) + right
 
 
+def _scaled_gap(gen: Generator, delta: float, m: float, M: float) -> float:
+    """The zero-TV rule: delta * chord_slope_gap(gen, m, M), read as 0 when
+    delta = 0 (P = Q), where the coefficient can be 0/0 or +inf."""
+    return 0.0 if delta == 0.0 else delta * chord_slope_gap(gen, m, M)
+
+
+def bound_gap(bound: float, value: float) -> float:
+    """The gap rule: bound - value, read as 0 when both are +inf."""
+    return 0.0 if bound == value == INF else bound - value
+
+
 def theorem1_bound(gen: Generator, params: ClassParams) -> float:
     """sup of D_f over pairs with total variation delta and ratio extremes
-    (m, M).  Zero when m = 1 or M = 1 (the class then forces P = Q)."""
+    (m, M).  Zero when m = 1 or M = 1 (the class then forces delta = 0)."""
     params.check_finite()
-    if params.m == 1.0 or params.M == 1.0:
-        return 0.0
-    return params.delta * chord_slope_gap(gen, params.m, params.M)
+    return _scaled_gap(gen, params.delta, params.m, params.M)
 
 
 def corollary1_bound(gen: Generator, m: float, M: float) -> float:
     """sup of D_f over all pairs with ratio extremes (m, M), any delta:
-    Theorem 1 at delta = tv_cap(m, M).  Zero when m = 1 or M = 1."""
+    Theorem 1 at delta = tv_cap(m, M).  Zero when m = 1 or M = 1 (cap 0)."""
     m, M = float(m), float(M)
     cap = tv_cap(m, M)
     if M == INF:
         raise UnboundedM("Corollary requires M < inf; compose vajda_bound instead")
-    if cap == 0.0:  # m = 1 or M = 1, where f(1)/0 is not the limit
-        return 0.0
-    return cap * chord_slope_gap(gen, m, M)
+    return _scaled_gap(gen, cap, m, M)
 
 
 def vajda_bound(gen: Generator, delta: float) -> float:
@@ -141,14 +161,12 @@ def vajda_bound(gen: Generator, delta: float) -> float:
     delta * chord_slope_gap(gen, 0, inf) = delta * (f(0+) + f'(inf))."""
     delta = float(delta)
     _check_delta(delta)
-    if delta == 0.0:
-        return 0.0  # 0 * inf is undefined; P = Q
-    return delta * chord_slope_gap(gen, 0.0, INF)
+    return _scaled_gap(gen, delta, 0.0, INF)
 
 
 def log_over_x_minus_1(x: float) -> float:
-    """log(x)/(x - 1) for x > 0, continuously extended to 1 at x = 1 and to
-    0 at x = +inf; a short series is used near 1 to dodge cancellation."""
+    """log(x)/(x - 1) for x > 0, taken as its limits 1 at x = 1 and 0 at
+    x = +inf; a short series is used near 1 to dodge cancellation."""
     x = float(x)
     if x <= 0.0:
         raise LogDomain(f"need x > 0, got {x!r}")
@@ -162,12 +180,15 @@ def log_over_x_minus_1(x: float) -> float:
 
 def kl_bound_ab(delta: float, a: float, b: float) -> float:
     """Optimal KL bound in the reciprocal parameters a = 1/M, b = 1/m:
-    delta * (log(a)/(a-1) + log(b)/(1-b)); b = +inf drops the second term."""
+    delta * (log(a)/(a-1) + log(b)/(1-b)); b = +inf (m = 0) drops the second
+    term.  Raises Infeasible when the class (delta, 1/b, 1/a) is empty."""
     # not via chord_slope_gap: log_over_x_minus_1's series beats the secant near 1
     delta, a, b = float(delta), float(a), float(b)
-    _check_delta(delta)
     if not (0.0 < a <= 1.0 <= b):
         raise InvalidParams(f"need 0 < a <= 1 <= b, got a={a!r}, b={b!r}")
+    params = ClassParams(delta, 1.0 / b, 1.0 / a)  # 1/inf is 0.0
+    if not feasible(params):
+        raise Infeasible(f"empty class: {params}")
     # log(b)/(1-b) = -log_over_x_minus_1(b); the b = +inf limit is 0
     return delta * (log_over_x_minus_1(a) - log_over_x_minus_1(b))
 

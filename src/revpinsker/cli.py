@@ -17,7 +17,9 @@ from dataclasses import replace
 from functools import partial
 
 from .bounds import (
+    INF,
     ClassParams,
+    bound_gap,
     corollary1_bound,
     default_grid,
     kl_bound_ab,
@@ -30,7 +32,6 @@ from .bounds import (
 )
 from .divergence import f_divergence, measure_pair, renyi_from_hellinger
 from .errors import RevPinskerError
-from .extended import INF, bound_gap
 from .extremal import ternary_extremal, verify_membership
 from .generators import (
     chi2_generator,
@@ -64,7 +65,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _parse_extended(text: str) -> float:
+def _parse_number(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
@@ -96,9 +97,9 @@ def _resolve_divergence(spec: str):
     if spec in named:
         return named[spec](), _same
     if spec.startswith("hellinger:"):
-        return hellinger_generator(_parse_extended(spec.split(":", 1)[1])), _same
+        return hellinger_generator(_parse_number(spec.split(":", 1)[1])), _same
     if spec.startswith("renyi:"):
-        alpha = _parse_extended(spec.split(":", 1)[1])
+        alpha = _parse_number(spec.split(":", 1)[1])
         gen = hellinger_generator(alpha)
         return replace(gen, name=f"renyi:{alpha:g}"), partial(renyi_from_hellinger, alpha)
     raise ParseError(f"unknown divergence {spec!r}")
@@ -263,12 +264,12 @@ def comparison_rows(comparator: str, alpha: float):
 
 
 def _cmd_compare(args) -> int:
+    # every row first, so a domain error leaves stdout empty
+    rows = list(comparison_rows(args.comparator, args.alpha))
     print(COMPARE_HEADER)
-    ok = True
-    for row in comparison_rows(args.comparator, args.alpha):
-        new, prior = row[3:5]
-        ok = ok and prior >= new - 1e-12
+    for row in rows:
         print(csv_row(row))
+    ok = all(prior >= new - 1e-12 for _, _, _, new, prior, _ in rows)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_class(p, required=True):
         for flag in ("--delta", "--m", "--M"):
-            p.add_argument(flag, type=_parse_extended, required=required)
+            p.add_argument(flag, type=_parse_number, required=required)
 
     p = sub.add_parser("bound", help="closed-form optimal bound")
     p.add_argument("--div", required=True)
@@ -325,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     add_class(p)
-    p.add_argument("--tol", type=_parse_extended, default=1e-9)
+    p.add_argument("--tol", type=_parse_number, default=1e-9)
     p.add_argument("--div", default="kl,tv,chi2")
     add_common(p)
     p.set_defaults(func=_cmd_verify)
@@ -337,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("simic", "sason-chi2", "sason-renyi", "verdu"),
         required=True,
     )
-    p.add_argument("--alpha", type=_parse_extended, default=2.0)
+    p.add_argument("--alpha", type=_parse_number, default=2.0)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("fuzz", help="randomized soundness/tightness search")

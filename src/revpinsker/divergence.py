@@ -1,7 +1,7 @@
 """Evaluation of f-divergences on discrete distribution pairs.
 
-D_f is one sum, :func:`batch_f_divergence`; :func:`f_divergence` is that sum
-for one row after the absolute-continuity check."""
+D_f is one sum, :func:`batch_f_divergence`, which checks its rows first;
+:func:`f_divergence` is that sum for one row."""
 
 from __future__ import annotations
 
@@ -9,20 +9,14 @@ import math
 
 import numpy as np
 
-from .distributions import (
-    Distribution,
-    check_absolutely_continuous,
-    ratio_extremes,
-    total_variation,
-)
-from .errors import LogDomain
+from .distributions import Distribution, ratio_extremes, total_variation
+from .errors import LengthMismatch, LogDomain, NotAbsolutelyContinuous
 from .generators import Generator, check_alpha
 
 
 def f_divergence(gen: Generator, P: Distribution, Q: Distribution) -> float:
-    """D_f(P || Q) of one pair: the absolute-continuity check, then
-    :func:`batch_f_divergence` of the pair as a single row."""
-    check_absolutely_continuous(P, Q)
+    """D_f(P || Q) of one pair: :func:`batch_f_divergence` of the pair as a
+    single row."""
     return float(batch_f_divergence(gen, P.weights[None], Q.weights[None])[0])
 
 
@@ -31,12 +25,17 @@ def batch_f_divergence(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarr
     weight arrays of shape (trials, n).
 
     Terms with p_i = 0 contribute q_i * f(0+), which may make a row +inf.
-    Assumes absolute continuity holds row-wise (the oracle's samplers
-    construct pairs that satisfy it by design).
+    Raises LengthMismatch when p and q differ in shape, and
+    NotAbsolutelyContinuous when a row has p_i > 0 where q_i = 0: that D_f
+    is not the sum over q_i > 0.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise LengthMismatch(f"weight arrays differ in shape: {p.shape} vs {q.shape}")
     support = q > 0
+    if (p[~support] > 0).any():
+        raise NotAbsolutelyContinuous("P has mass where Q has none")
     ratios = np.divide(p, q, out=np.ones_like(p), where=support)
     return np.where(support, q * gen.evaluate(ratios), 0.0).sum(axis=1)
 

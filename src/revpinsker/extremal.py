@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bounds import ClassParams, theorem1_bound
+from .bounds import ClassParams, bound_gap, theorem1_bound
 from .distributions import Distribution, validate_distribution
 from .divergence import f_divergence, measure_pair
 from .errors import InvalidParams
-from .extended import bound_gap
 from .generators import Generator
 
 #: largest |p/q - m| at the m atom, and |p/q - M| / M at the M atom, of a built pair
@@ -32,7 +31,6 @@ class ExtremalPair:
 
     P: Distribution
     Q: Distribution
-    params: ClassParams
     q: float
     p: float
     t: float
@@ -46,7 +44,7 @@ def ternary_extremal(params: ClassParams) -> ExtremalPair:
     params.check_finite()
     if params.delta == 0.0:
         point = validate_distribution([1.0])
-        return ExtremalPair(P=point, Q=point, params=params, q=0.0, p=0.0, t=0.0)
+        return ExtremalPair(P=point, Q=point, q=0.0, p=0.0, t=0.0)
     m, M, delta = params.m, params.M, params.delta
     q = (M - 1.0) / (M - m)
     p = m * q
@@ -63,7 +61,7 @@ def ternary_extremal(params: ClassParams) -> ExtremalPair:
     if not (min(q_m, q_M) > 0.0 and abs(p_m / q_m - m) <= RATIO_TOLERANCE
             and abs(p_M / q_M - M) <= RATIO_TOLERANCE * M):
         raise InvalidParams(f"the pair for {params} is off its class by > {RATIO_TOLERANCE}")
-    return ExtremalPair(P=P, Q=Q, params=params, q=q, p=p, t=t)
+    return ExtremalPair(P=P, Q=Q, q=q, p=p, t=t)
 
 
 @dataclass(frozen=True)
@@ -74,11 +72,9 @@ class PairReport:
     measured_delta: float
     measured_m: float
     measured_M: float
-    target: ClassParams
     deviation_delta: float
     deviation_m: float
     deviation_M: float
-    tolerance: float
     passed: bool
     divergences: dict = field(default_factory=dict)
     bounds: dict = field(default_factory=dict)
@@ -118,11 +114,9 @@ def verify_membership(
         measured_delta=delta,
         measured_m=m,
         measured_M=M,
-        target=params,
         deviation_delta=dd,
         deviation_m=dm,
         deviation_M=dM,
-        tolerance=tol,
         passed=passed,
         divergences=divergences,
         bounds=bounds,

@@ -23,7 +23,6 @@ from .errors import (
     InvalidParams,
     MeanOutOfRange,
 )
-from .extended import INF
 
 #: tolerance for the f(1) = 0 anchor and the sampled convexity check
 ANCHOR_TOLERANCE = 1e-12
@@ -54,8 +53,8 @@ class Generator:
         if t == 0.0:
             return self.f_at_zero
         # at t = +inf only meaningful when the slope at infinity is +inf or 0
-        if t == INF and self.slope_at_infinity > 0:
-            return INF
+        if t == math.inf and self.slope_at_infinity > 0:
+            return math.inf
         # a numpy scalar overflows to inf as the array path does; a float raises
         return float(self.fn(np.float64(t)))
 
@@ -73,7 +72,7 @@ def kl_generator() -> Generator:
         name="kl",
         fn=lambda t: t * np.log(t),
         f_at_zero=0.0,
-        slope_at_infinity=INF,
+        slope_at_infinity=math.inf,
         mp_fn=lambda t: t * mp.log(t),
     )
 
@@ -95,7 +94,7 @@ def chi2_generator() -> Generator:
         name="chi2",
         fn=lambda t: t * t - 1.0,
         f_at_zero=-1.0,
-        slope_at_infinity=INF,
+        slope_at_infinity=math.inf,
         mp_fn=lambda t: t * t - 1,
     )
 
@@ -104,7 +103,7 @@ def check_alpha(alpha: float) -> float:
     """The Hellinger/Renyi order as a float; raise InvalidAlpha unless it is
     in (0, 1) or (1, inf)."""
     alpha = float(alpha)
-    if not (0.0 < alpha < INF) or alpha == 1.0:
+    if not (0.0 < alpha < math.inf) or alpha == 1.0:
         raise InvalidAlpha(f"alpha must be in (0,1) or (1,inf), got {alpha}")
     return alpha
 
@@ -121,7 +120,7 @@ def hellinger_generator(alpha: float) -> Generator:
         name=f"hellinger:{alpha:g}",
         fn=lambda t: (t**alpha - 1.0) / (alpha - 1.0),
         f_at_zero=1.0 / (1.0 - alpha),
-        slope_at_infinity=INF if alpha > 1.0 else 0.0,
+        slope_at_infinity=math.inf if alpha > 1.0 else 0.0,
         mp_fn=lambda t: (t**alpha - 1) / (alpha - 1),
     )
 
@@ -159,7 +158,7 @@ def custom_generator(
     """
     f_at_zero = float(f_at_zero)
     slope_at_infinity = float(slope_at_infinity)
-    if not (f_at_zero > -INF):
+    if not (f_at_zero > -math.inf):
         raise InvalidParams(f"need f(0+) > -inf, got {f_at_zero!r}")
     anchor = float(f(1.0))
     # written as not (... <= ...) so that a NaN fails the check
@@ -175,7 +174,7 @@ def custom_generator(
                 f"midpoint convexity violated on ({s!r}, {u!r})"
             )
     # checked after the convexity sample, which reports a concave f first
-    if not (slope_at_infinity > -INF):
+    if not (slope_at_infinity > -math.inf):
         raise InvalidParams(f"need f'(inf) > -inf, got {slope_at_infinity!r}")
     if not _accepts_arrays(f):
         f = np.vectorize(f, otypes=[float])

@@ -31,11 +31,10 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .bounds import ClassParams, feasible, theorem1_bound, tv_cap, vajda_bound
+from .bounds import INF, ClassParams, bound_gap, feasible, theorem1_bound, tv_cap, vajda_bound
 from .distributions import Distribution, validate_distribution
 from .divergence import batch_f_divergence, f_divergence
 from .errors import InvalidParams
-from .extended import INF, bound_gap
 from .extremal import ExtremalPair, ternary_extremal, verify_membership
 from .generators import Generator
 
@@ -57,7 +56,7 @@ MATCH_TOLERANCE = 1e-6
 #: rows sampled and evaluated at once by ``search_sup``
 _CHUNK_ROWS = 20_000
 
-#: decimal exponents for the extended-precision tail of the unconstrained
+#: decimal exponents for the mpmath tail of the unconstrained
 #: sweep, reaching far beyond float range
 _MP_SWEEP_EXPONENTS = (16, 32, 64, 128, 256, 1_000, 10_000, 100_000, 1_000_000, 10_000_000)
 
@@ -242,8 +241,8 @@ def search_unconstrained_sup(gen: Generator, delta: float) -> SearchOutcome:
 
     Evaluates the extremal pair along a geometric grid of M; the values are
     nondecreasing and approach the range-of-values bound.  When that bound is
-    infinite the sweep continues in extended precision until the divergence
-    proxy threshold is exceeded.
+    infinite the sweep continues in mpmath, beyond float range, until the
+    divergence proxy threshold is exceeded.
     """
     delta = float(delta)
     if not (0.0 <= delta < 1.0):
@@ -304,11 +303,10 @@ def _search_for_member(params: ClassParams, config: SearchConfig) -> bool:
     achievable total variation against the target.
     """
     delta, m, M = params.delta, params.m, params.M
-    if m == 1.0 and M == 1.0:
-        return delta <= MATCH_TOLERANCE  # P = Q is the only member shape
-    if m == 1.0 or M == 1.0:
-        # all ratios on one side of 1 with Q-mean 1 collapse to ratio 1;
-        # the off-1 extreme is unattainable
+    if (m == 1.0) != (M == 1.0):
+        # all ratios on one side of 1 with Q-mean 1 collapse to ratio 1, so
+        # the off-1 extreme is unattainable; at m = M = 1 the search below
+        # has only P = Q, a match iff delta <= MATCH_TOLERANCE
         return False
     if M == INF:
         return False  # finite discrete pairs have finite ratios

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 
 import pytest
@@ -28,6 +29,7 @@ from revpinsker import (
     vajda_bound,
 )
 from revpinsker import chi2_generator
+from revpinsker.bounds import bound_gap
 from revpinsker.errors import Infeasible, InvalidParams, UnboundedM
 
 KL = kl_generator()
@@ -212,6 +214,17 @@ class TestVajda:
                 ) + 1e-12
 
 
+class TestUndefinedForms:
+    def test_bound_gap_reads_inf_minus_inf_as_zero(self):
+        assert bound_gap(INF, INF) == 0.0
+        assert bound_gap(INF, 1.0) == INF
+        assert bound_gap(2.0, 0.5) == 1.5
+
+    def test_inf_is_a_plain_float(self):
+        assert INF is math.inf
+        assert importlib.util.find_spec("revpinsker.extended") is None
+
+
 class TestKlAb:
     def test_matches_theorem1(self):
         assert kl_bound_ab(0.25, 0.5, 2.0) == pytest.approx(
@@ -220,6 +233,13 @@ class TestKlAb:
 
     def test_degenerate(self):
         assert kl_bound_ab(0.0, 1.0, 1.0) == 0.0
+
+    # (delta, a, b): above the cap of (m, M) = (1/2, 2); M = 1 with delta > 0;
+    # delta = 0 with m < 1 < M
+    @pytest.mark.parametrize("args", [(0.9, 0.5, 2.0), (0.3, 1.0, 2.0), (0.0, 0.5, 2.0)])
+    def test_empty_class_raises_infeasible(self, args):
+        with pytest.raises(Infeasible):
+            kl_bound_ab(*args)
 
     def test_verdu_limit(self):
         assert kl_bound_ab(0.25, 0.5, INF) == pytest.approx(

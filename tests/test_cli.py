@@ -194,6 +194,29 @@ class TestCompare:
         assert capsys.readouterr().out == ""
 
 
+class TestErrorStdout:
+    """A domain error leaves stdout empty: nothing is printed before every
+    value is computed."""
+
+    @pytest.mark.parametrize("args", [
+        ["bound", "--div", "chi2", "--formula", "thm1", "--delta", "0.5", "--m", "0.5",
+         "--M", "2"],
+        ["divergence", "--div", "kl", "--p", "0.5,0.5", "--q", "1,0"],
+        ["extremal", "--delta", "0.5", "--m", "0.5", "--M", "2"],
+        ["verify", "--p", "0.5,0.5", "--q", "0.5,0.5", "--delta", "0.5", "--m", "0.5",
+         "--M", "2"],
+        ["compare", "--comparator", "sason-renyi", "--alpha", "1"],
+        ["fuzz", "--div", "kl", "--delta", "0.5", "--m", "0.5", "--M", "2"],
+    ], ids=lambda args: args[0])
+    def test_exit_2_with_empty_stdout(self, args, capsys):
+        from revpinsker.cli import main
+
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert any(line.startswith("error: ") for line in err.splitlines())
+
+
 class TestFuzz:
     def test_attainment_and_exit_0(self):
         result = run("fuzz", "--div", "chi2", "--delta", "0.25", "--m", "0.5",

@@ -17,7 +17,7 @@ from revpinsker import (
     tv_generator,
     validate_distribution,
 )
-from revpinsker.errors import InvalidAlpha, LogDomain, NotAbsolutelyContinuous
+from revpinsker.errors import InvalidAlpha, LengthMismatch, LogDomain, NotAbsolutelyContinuous
 
 
 @pytest.fixture
@@ -78,6 +78,24 @@ def test_requires_absolute_continuity():
     Q = validate_distribution([1.0, 0.0])
     with pytest.raises(NotAbsolutelyContinuous):
         f_divergence(kl_generator(), P, Q)
+
+
+@pytest.mark.parametrize("gen", [kl_generator(), tv_generator()], ids=["kl", "tv"])
+def test_batch_rejects_a_row_without_absolute_continuity(gen):
+    # the truncated sum over q > 0 would give -0.3466 for KL and 0.25 for TV
+    p = np.array([[0.5, 0.5], [0.5, 0.5]])
+    q = np.array([[0.5, 0.5], [1.0, 0.0]])
+    with pytest.raises(NotAbsolutelyContinuous):
+        batch_f_divergence(gen, p, q)
+
+
+def test_unequal_lengths_raise_length_mismatch():
+    P = validate_distribution([0.5, 0.5])
+    Q = validate_distribution([0.25, 0.25, 0.5])
+    with pytest.raises(LengthMismatch):
+        f_divergence(kl_generator(), P, Q)
+    with pytest.raises(LengthMismatch):
+        batch_f_divergence(kl_generator(), P.weights[None], Q.weights[None])
 
 
 def test_chi2_closed_form(pair):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from revpinsker import (
     ClassParams,
+    ExtremalPair,
+    PairReport,
     chi2_generator,
     corollary1_bound,
     default_grid,
@@ -28,6 +31,15 @@ GENERATORS = [
     hellinger_generator(0.5),
     hellinger_generator(3),
 ]
+
+
+def test_result_fields():
+    # no field repeats an input the caller already holds
+    assert [f.name for f in dataclasses.fields(ExtremalPair)] == ["P", "Q", "q", "p", "t"]
+    assert [f.name for f in dataclasses.fields(PairReport)] == [
+        "measured_delta", "measured_m", "measured_M", "deviation_delta", "deviation_m",
+        "deviation_M", "passed", "divergences", "bounds", "gaps",
+    ]
 
 
 def test_worked_example():

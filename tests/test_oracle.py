@@ -24,7 +24,13 @@ from revpinsker import (
     verify_membership,
 )
 from revpinsker.errors import Infeasible, InvalidParams
-from revpinsker.oracle import DIVERGENCE_THRESHOLD, _beats, _sample_batch
+from revpinsker.oracle import (
+    DIVERGENCE_THRESHOLD,
+    MATCH_TOLERANCE,
+    _beats,
+    _sample_batch,
+    _search_for_member,
+)
 
 PARAMS = ClassParams(0.25, 0.5, 2.0)
 
@@ -244,6 +250,12 @@ class TestFalsifyFeasibility:
 
     def test_degenerate_with_positive_delta(self):
         assert falsify_feasibility(ClassParams(0.1, 1.0, 1.0), SearchConfig())
+
+    @pytest.mark.parametrize("delta, member", [(1e-7, True), (MATCH_TOLERANCE, True),
+                                               (2e-6, False), (0.5, False)])
+    def test_member_search_at_m_equal_M_equal_one(self, delta, member):
+        # P = Q is the only shape there, matched iff delta <= MATCH_TOLERANCE
+        assert _search_for_member(ClassParams(delta, 1.0, 1.0), SearchConfig()) == member
 
     def test_one_sided_degenerate(self):
         assert falsify_feasibility(ClassParams(0.1, 1.0, 2.0), SearchConfig())

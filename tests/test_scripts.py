@@ -3,6 +3,10 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from revpinsker import errors
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 #: tables and stdout of revpinsker 0.1.0, which pin the output byte for byte
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -42,3 +46,32 @@ def test_comparison_tables_match_golden(tmp_path, capsys):
         name = f"compare_{comparator.replace('-', '_')}.csv"
         assert line == f"{comparator:>12}: {summary} -> {tmp_path / name}"
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_comparison_tables_write_nothing_on_a_domain_error(tmp_path, capsys):
+    # alpha = 1 is no Renyi order; the sason-renyi table is the third of four
+    outdir = tmp_path / "tables"
+    with pytest.raises(errors.InvalidAlpha):
+        load("make_comparison_tables").main(["--outdir", str(outdir), "--alpha", "1"])
+    assert not any(outdir.glob("*"))
+    assert capsys.readouterr().out == ""
+
+
+def test_value_dump_is_deterministic(capsys):
+    dump = load("value_dump")
+    runs = []
+    for _ in range(2):
+        assert dump.main([]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
+    lines = runs[0].splitlines()
+    assert len(lines) > 20_000
+    # a value is float.hex text, a bool, a list or dict of them, or a domain error
+    domain_errors = {
+        name for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.RevPinskerError)
+    }
+    for line in lines:
+        value = line.rsplit(") ", 1)[1]
+        assert (value[:1] in "[-0" or value in ("inf", "True", "False")
+                or "=" in value or value in domain_errors), line
