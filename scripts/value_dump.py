@@ -67,7 +67,7 @@ def text(value) -> str:
     if isinstance(value, dict):
         return " ".join(f"{k}={text(v)}" for k, v in value.items())
     if isinstance(value, Distribution):
-        return text(value.weights.tolist())
+        return text(value.values)
     return "[" + " ".join(text(v) for v in value) + "]"
 
 

@@ -4,6 +4,12 @@ Computes f-divergences between finite discrete distributions, the optimal
 upper bounds given total variation and density-ratio extremes, explicit
 extremal pairs attaining them, and a randomized oracle certifying validity
 and tightness.
+
+The scalar layer (bounds, extremal pairs, Distribution) is plain ``math``.
+numpy loads with the oracle, whose names resolve on first use, and with the
+array paths (``batch_f_divergence``, ``f_divergence``,
+``Generator.evaluate``, ``custom_generator``, ``Distribution.weights``);
+mpmath loads only where an ``mp_fn`` runs.
 """
 
 from .bounds import (
@@ -44,14 +50,25 @@ from .generators import (
     kl_generator,
     tv_generator,
 )
-from .oracle import (
-    SearchConfig,
-    SearchOutcome,
-    falsify_feasibility,
-    sample_pair_in_class,
-    search_sup,
-    search_unconstrained_sup,
-)
+
+#: names resolved from ``revpinsker.oracle``, and so numpy, on first use
+_ORACLE_NAMES = frozenset({
+    "SearchConfig",
+    "SearchOutcome",
+    "falsify_feasibility",
+    "sample_pair_in_class",
+    "search_sup",
+    "search_unconstrained_sup",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ClassParams",
@@ -95,4 +112,4 @@ __all__ = [
     "verify_membership",
 ]
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

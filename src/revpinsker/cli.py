@@ -39,7 +39,6 @@ from .generators import (
     kl_generator,
     tv_generator,
 )
-from .oracle import SearchConfig, search_sup
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -184,8 +183,8 @@ def _cmd_extremal(args) -> int:
         "extremal",
         {"delta": args.delta, "m": args.m, "M": args.M},
         {
-            "P": list(pair.P.weights),
-            "Q": list(pair.Q.weights),
+            "P": list(pair.P.values),
+            "Q": list(pair.Q.values),
             "q": pair.q,
             "p": pair.p,
             "t": pair.t,
@@ -274,6 +273,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from .oracle import SearchConfig, search_sup
+
     gen, report = _resolve_divergence(args.div)
     params = ClassParams(delta=args.delta, m=args.m, M=args.M)
     config = SearchConfig(support_size=args.n, trials=args.trials, seed=args.seed)
@@ -364,6 +365,16 @@ def main(argv: list[str] | None = None) -> int:
     except RevPinskerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+
+
+def __getattr__(name: str):
+    # search_sup and SearchConfig stay names of this module, but the oracle,
+    # and with it numpy, loads only when one of them or fuzz is used
+    if name in ("SearchConfig", "search_sup"):
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

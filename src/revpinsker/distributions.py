@@ -1,10 +1,15 @@
-"""Finite discrete probability distributions and their basic comparisons."""
+"""Finite discrete probability distributions and their basic comparisons.
+
+A Distribution is a tuple of floats, and the functions here use plain
+``math``; numpy loads only when a caller reads ``Distribution.weights``.
+"""
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     EmptyVector,
@@ -14,50 +19,74 @@ from .errors import (
     SumOutOfTolerance,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: Inputs are accepted when |sum(w) - 1| is at most this, then renormalized.
 SUM_TOLERANCE = 1e-9
+
+
+def _sum(values) -> float:
+    """Left-to-right float sum: numpy's order below 8 terms, and not the
+    compensated sum that the builtin ``sum`` uses from Python 3.12 on."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """A point on the probability simplex: nonnegative weights summing to one.
 
-    Construct through :func:`validate_distribution`; the stored array is
-    renormalized and marked read-only.
+    Construct through :func:`validate_distribution`.  ``values`` is the
+    renormalized tuple of floats; ``weights`` is the same numbers as a
+    read-only numpy array, built on first use.
     """
 
-    weights: np.ndarray
+    values: tuple[float, ...]
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        import numpy as np
+
+        w = np.array(self.values, dtype=float)
+        w.setflags(write=False)
+        return w
 
     @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        return len(self.values)
 
     def __len__(self) -> int:
         return self.n
 
     def __repr__(self) -> str:
-        return f"Distribution({np.array2string(self.weights, separator=', ')})"
+        return f"Distribution({list(self.values)!r})"
 
 
 def validate_distribution(weights) -> Distribution:
     """Validate a weight vector and return the normalized Distribution.
 
-    Rejects empty input, negative weights, and sums further than
+    Takes a scalar (one atom), a sequence or a 1-D array.  Rejects empty or
+    nested input, NaN and negative weights, and sums further than
     SUM_TOLERANCE from one.
     """
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
-    if w.ndim != 1 or w.size == 0:
+    if hasattr(weights, "tolist"):  # a numpy array or scalar
+        weights = weights.tolist()
+    if isinstance(weights, (int, float)):
+        weights = (weights,)
+    try:
+        w = tuple(map(float, weights))
+    except TypeError:
+        raise EmptyVector("need a nonempty 1-D weight vector") from None
+    if not w:
         raise EmptyVector("need a nonempty 1-D weight vector")
-    if np.any(np.isnan(w)):
+    if any(x != x for x in w):
         raise NegativeWeight("NaN weight")
-    if np.any(w < 0):
-        raise NegativeWeight(f"negative weight in {w!r}")
-    s = float(w.sum())
+    if any(x < 0.0 for x in w):
+        raise NegativeWeight(f"negative weight in {list(w)!r}")
+    s = _sum(w)
     if abs(s - 1.0) > SUM_TOLERANCE:
         raise SumOutOfTolerance(f"weights sum to {s!r}, not 1")
-    w = w / s
-    w.setflags(write=False)
-    return Distribution(w)
+    return Distribution(tuple(x / s for x in w))
 
 
 def _check_lengths(P: Distribution, Q: Distribution) -> None:
@@ -68,13 +97,13 @@ def _check_lengths(P: Distribution, Q: Distribution) -> None:
 def total_variation(P: Distribution, Q: Distribution) -> float:
     """Total variation distance, (1/2) * sum_i |p_i - q_i|, in [0, 1]."""
     _check_lengths(P, Q)
-    return 0.5 * float(np.abs(P.weights - Q.weights).sum())
+    return 0.5 * _sum(abs(p - q) for p, q in zip(P.values, Q.values))
 
 
 def check_absolutely_continuous(P: Distribution, Q: Distribution) -> None:
     """Raise unless q_i = 0 implies p_i = 0 for every index."""
     _check_lengths(P, Q)
-    if np.any((Q.weights == 0) & (P.weights > 0)):
+    if any(q == 0.0 and p > 0.0 for p, q in zip(P.values, Q.values)):
         raise NotAbsolutelyContinuous("P has mass where Q has none")
 
 
@@ -85,8 +114,5 @@ def ratio_extremes(P: Distribution, Q: Distribution) -> tuple[float, float]:
     inequalities hold up to rounding and are enforced by a clamp.
     """
     check_absolutely_continuous(P, Q)
-    support = Q.weights > 0
-    ratios = P.weights[support] / Q.weights[support]
-    m = min(float(ratios.min()), 1.0)
-    M = max(float(ratios.max()), 1.0)
-    return m, M
+    ratios = [p / q for p, q in zip(P.values, Q.values) if q > 0.0]
+    return min(min(ratios), 1.0), max(max(ratios), 1.0)

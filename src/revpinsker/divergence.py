@@ -1,23 +1,28 @@
 """Evaluation of f-divergences on discrete distribution pairs.
 
 D_f is one sum, :func:`batch_f_divergence`, which checks its rows first;
-:func:`f_divergence` is that sum for one row."""
+:func:`f_divergence` is that sum for one row.  Both load numpy on first
+use; ``measure_pair`` and ``renyi_from_hellinger`` are plain ``math``."""
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .distributions import Distribution, ratio_extremes, total_variation
 from .errors import LengthMismatch, LogDomain, NotAbsolutelyContinuous
 from .generators import Generator, check_alpha
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def f_divergence(gen: Generator, P: Distribution, Q: Distribution) -> float:
     """D_f(P || Q) of one pair: :func:`batch_f_divergence` of the pair as a
     single row."""
-    return float(batch_f_divergence(gen, P.weights[None], Q.weights[None])[0])
+    import numpy as np
+
+    return float(batch_f_divergence(gen, np.array([P.values]), np.array([Q.values]))[0])
 
 
 def batch_f_divergence(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -29,6 +34,8 @@ def batch_f_divergence(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarr
     NotAbsolutelyContinuous when a row has p_i > 0 where q_i = 0: that D_f
     is not the sum over q_i > 0.
     """
+    import numpy as np
+
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:

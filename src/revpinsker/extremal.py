@@ -57,7 +57,7 @@ def ternary_extremal(params: ClassParams) -> ExtremalPair:
     P = validate_distribution([t * p, t * p_c, max(0.0, 1.0 - t)])
     Q = validate_distribution([t * q, t * q_c, max(0.0, 1.0 - t)])
     # tiny weights lose ratio digits, or underflow to zero
-    (p_m, p_M, _), (q_m, q_M, _) = P.weights.tolist(), Q.weights.tolist()
+    (p_m, p_M, _), (q_m, q_M, _) = P.values, Q.values
     if not (min(q_m, q_M) > 0.0 and abs(p_m / q_m - m) <= RATIO_TOLERANCE
             and abs(p_M / q_M - M) <= RATIO_TOLERANCE * M):
         raise InvalidParams(f"the pair for {params} is off its class by > {RATIO_TOLERANCE}")

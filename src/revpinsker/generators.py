@@ -10,10 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
-
-import mpmath as mp
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import (
     DegenerateInterval,
@@ -23,6 +20,9 @@ from .errors import (
     InvalidParams,
     MeanOutOfRange,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: tolerance for the f(1) = 0 anchor and the sampled convexity check
 ANCHOR_TOLERANCE = 1e-12
@@ -34,11 +34,14 @@ _CONVEXITY_SEED = 0x5EC4
 class Generator:
     """Convex generator with its limits at 0 and infinity.
 
-    ``fn`` maps t in (0, inf) to f(t) and must accept numpy arrays, acting
-    elementwise; :func:`custom_generator` wraps a scalar-only callable once,
-    with ``np.vectorize``.  ``fn`` is only called on t > 0: at t = 0 both
-    ``__call__`` and ``evaluate`` return ``f_at_zero``.  ``mp_fn``, when
-    present, is an mpmath-safe twin used for sweeps beyond float range.
+    ``fn`` maps t in (0, inf) to f(t).  ``__call__`` calls it on a Python
+    float, where an ``OverflowError`` reads as +inf; ``evaluate`` calls it
+    on a numpy array, where it must act elementwise.  The stock generators
+    need numpy only for the array; :func:`custom_generator` wraps a
+    scalar-only callable once, with ``np.vectorize``.  ``fn`` is only
+    called on t > 0: at t = 0 both ``__call__`` and ``evaluate`` return
+    ``f_at_zero``.  ``mp_fn``, when present, is an mpmath-safe twin used for
+    sweeps beyond float range.
     """
 
     name: str
@@ -50,30 +53,52 @@ class Generator:
     def __call__(self, t: float) -> float:
         """Evaluate f at a scalar t >= 0; t = 0 returns the stored limit."""
         t = float(t)
+        if t < 0.0:
+            raise InvalidParams(f"f is defined on t >= 0, got {t!r}")
         if t == 0.0:
             return self.f_at_zero
         # at t = +inf only meaningful when the slope at infinity is +inf or 0
         if t == math.inf and self.slope_at_infinity > 0:
             return math.inf
-        # a numpy scalar overflows to inf as the array path does; a float raises
-        return float(self.fn(np.float64(t)))
+        try:
+            return float(self.fn(t))
+        except OverflowError:  # a float raises where the array path gives inf
+            return math.inf
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         """Evaluate f elementwise on an array with t >= 0; entries with
         t == 0 give the stored limit, and ``fn`` is not called on them."""
+        import numpy as np
+
         t = np.asarray(t, dtype=float)
         zero = t == 0.0  # not t > 0: a NaN entry stays NaN
         return np.where(zero, self.f_at_zero, self.fn(np.where(zero, 1.0, t)))
+
+
+def _kl(t):
+    """t log t: math.log on a float, numpy's log on an array."""
+    if isinstance(t, float):
+        return t * math.log(t)
+    import numpy as np
+
+    return t * np.log(t)
+
+
+def _kl_mp(t):
+    """t log t in mpmath, which loads on the first call."""
+    import mpmath
+
+    return t * mpmath.log(t)
 
 
 def kl_generator() -> Generator:
     """f(t) = t log t (natural log), the relative-entropy generator."""
     return Generator(
         name="kl",
-        fn=lambda t: t * np.log(t),
+        fn=_kl,
         f_at_zero=0.0,
         slope_at_infinity=math.inf,
-        mp_fn=lambda t: t * mp.log(t),
+        mp_fn=_kl_mp,
     )
 
 
@@ -81,7 +106,7 @@ def tv_generator() -> Generator:
     """f(t) = |t - 1| / 2, the total-variation generator."""
     return Generator(
         name="tv",
-        fn=lambda t: 0.5 * np.abs(t - 1.0),
+        fn=lambda t: 0.5 * abs(t - 1.0),
         f_at_zero=0.5,
         slope_at_infinity=0.5,
         mp_fn=lambda t: abs(t - 1) / 2,
@@ -125,8 +150,11 @@ def hellinger_generator(alpha: float) -> Generator:
     )
 
 
-def _convexity_triples(rng: np.random.Generator, count: int) -> np.ndarray:
+def _convexity_triples(count: int) -> np.ndarray:
+    import numpy as np
+
     # log-uniform endpoints in (1e-6, 1e6), sorted so s < u
+    rng = np.random.default_rng(_CONVEXITY_SEED)
     pts = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), size=(count, 2)))
     pts.sort(axis=1)
     return pts
@@ -134,6 +162,8 @@ def _convexity_triples(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def _accepts_arrays(f: Callable) -> bool:
     """Whether f maps an array of inputs to an array of the same shape."""
+    import numpy as np
+
     probe = np.array([0.5, 2.0])
     try:
         return np.shape(f(probe)) == probe.shape
@@ -164,8 +194,7 @@ def custom_generator(
     # written as not (... <= ...) so that a NaN fails the check
     if not (abs(anchor) <= ANCHOR_TOLERANCE):
         raise FailsAnchorCheck(f"f(1) = {anchor!r}, expected 0")
-    rng = np.random.default_rng(_CONVEXITY_SEED)
-    for s, u in _convexity_triples(rng, CONVEXITY_SAMPLES):
+    for s, u in _convexity_triples(CONVEXITY_SAMPLES):
         fs, fu = float(f(s)), float(f(u))
         mid = float(f((s + u) / 2.0))
         scale = max(1.0, abs(fs), abs(fu))
@@ -177,6 +206,8 @@ def custom_generator(
     if not (slope_at_infinity > -math.inf):
         raise InvalidParams(f"need f'(inf) > -inf, got {slope_at_infinity!r}")
     if not _accepts_arrays(f):
+        import numpy as np
+
         f = np.vectorize(f, otypes=[float])
     return Generator(
         name=name, fn=f, f_at_zero=f_at_zero, slope_at_infinity=slope_at_infinity

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .bounds import INF, ClassParams, bound_gap, feasible, theorem1_bound, tv_cap, vajda_bound
@@ -271,6 +270,8 @@ def search_unconstrained_sup(gen: Generator, delta: float) -> SearchOutcome:
 
     # an infinite f(0+) reads +inf above: every swept pair has a p = 0 atom
     if target == INF and best_value < DIVERGENCE_THRESHOLD and gen.mp_fn is not None:
+        import mpmath as mp
+
         # extremal value at huge M with m = 0 reduces to
         # delta * (f(0) + f(M)/(M-1)); evaluate outside float range
         d = mp.mpf(delta)
@@ -328,9 +329,17 @@ def falsify_feasibility(params: ClassParams, config: SearchConfig) -> bool:
     """True when search agrees with the feasibility predicate.
 
     Feasible params must yield a verified in-class sample; infeasible params
-    must defeat the penalized member search.
+    must defeat the penalized member search.  A feasible class with no
+    finite sample is a disagreement, not an error: M = +inf, which no finite
+    pair has, and a tiny-scale class whose extremal pair ``ternary_extremal``
+    cannot build in class (InvalidParams) both give False.
     """
-    if feasible(params):
+    if not feasible(params):
+        return not _search_for_member(params, config)
+    if params.M == INF:
+        return False
+    try:
         P, Q = sample_pair_in_class(params, config.support_size, config.seed)
-        return verify_membership(P, Q, params, tol=1e-9).passed
-    return not _search_for_member(params, config)
+    except InvalidParams:
+        return False
+    return verify_membership(P, Q, params, tol=1e-9).passed

@@ -102,3 +102,39 @@ def test_ratio_extremes_requires_absolute_continuity():
     Q = validate_distribution([1.0, 0.0])
     with pytest.raises(NotAbsolutelyContinuous):
         ratio_extremes(P, Q)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_values_match_the_numpy_normalization_below_eight_atoms(n):
+    # left to right is numpy's summation order below 8 terms
+    rng = np.random.default_rng(n)
+    for _ in range(500):
+        w = rng.dirichlet(np.ones(n))
+        w[rng.random(n) < 0.2] *= rng.choice([1e-8, 1e-300])
+        w *= (1.0 + rng.uniform(-1e-9, 1e-9)) / w.sum()  # within SUM_TOLERANCE
+        assert validate_distribution(w).values == tuple((w / w.sum()).tolist())
+
+
+def test_values_is_a_tuple_of_floats():
+    d = validate_distribution(np.array([1, 3]) / 4)
+    assert d.values == (0.25, 0.75)
+    assert all(type(x) is float for x in d.values)
+    assert validate_distribution(1.0).values == (1.0,)
+
+
+def test_weights_is_a_read_only_array_of_the_values():
+    d = validate_distribution([0.2, 0.3, 0.5])
+    assert isinstance(d.weights, np.ndarray) and not d.weights.flags.writeable
+    assert d.weights.tolist() == list(d.values)
+    assert d.weights is d.weights  # built once
+
+
+@pytest.mark.parametrize("weights", [[[0.5, 0.5]], np.ones((2, 2)) / 4])
+def test_validate_rejects_nested_input(weights):
+    with pytest.raises(EmptyVector):
+        validate_distribution(weights)
+
+
+def test_validate_rejects_nan():
+    with pytest.raises(NegativeWeight):
+        validate_distribution([0.5, math.nan, 0.5])

@@ -191,3 +191,54 @@ def test_evaluate_at_zero_returns_the_limit(gen):
     assert values[0] == gen.f_at_zero
     assert math.isfinite(values[1])
     assert math.isnan(values[2])  # masked by t == 0, so NaN stays NaN
+
+
+#: log-spaced t in [1e-300, 1e300], ratios near 1, and the points where
+#: hellinger:3 and chi2 overflow
+SCALAR_POINTS = sorted(
+    {float(t) for t in np.geomspace(1e-300, 1e300, 1201)}
+    | {float(t) for t in np.random.default_rng(9).uniform(0.5, 2.0, 400)}
+    | {1e103, 1e154, 1e155, 1e300}
+)
+
+
+@pytest.mark.parametrize("gen", [tv_generator(), chi2_generator()], ids=lambda g: g.name)
+def test_scalar_and_array_paths_agree_bit_for_bit(gen):
+    with np.errstate(over="ignore"):
+        array = gen.evaluate(SCALAR_POINTS)
+    assert [gen(t) for t in SCALAR_POINTS] == array.tolist()
+
+
+def test_kl_scalar_and_array_paths_agree_to_two_ulp():
+    # math.log and numpy's log may differ by one ulp of log t (numpy's SIMD
+    # builds); times t and rounded, that is at most two ulp of t log t
+    gen = kl_generator()
+    array = gen.evaluate(SCALAR_POINTS).tolist()
+    for t, a in zip(SCALAR_POINTS, array):
+        s = gen(t)
+        assert abs(s - a) <= 2.0 * math.ulp(max(abs(s), abs(a))), t
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 2.0, 3.0])
+def test_hellinger_scalar_and_array_paths_agree_to_one_ulp_of_the_power(alpha):
+    # the scalar path raises t to alpha with libm's pow, the array path with
+    # numpy's power, which may differ by one ulp of t**alpha; less 1 and over
+    # alpha - 1 that is at most 4 ulp(max(t**alpha, 1)) / |alpha - 1|.  An
+    # overflow is inf on both paths: the scalar path reads OverflowError so.
+    gen = hellinger_generator(alpha)
+    with np.errstate(over="ignore"):
+        array = gen.evaluate(SCALAR_POINTS).tolist()
+    for t, a in zip(SCALAR_POINTS, array):
+        s = gen(t)
+        if math.isinf(a):
+            assert s == a, t
+            continue
+        scale = max(t**alpha, 1.0)
+        assert abs(s - a) <= 4.0 * math.ulp(scale) / abs(alpha - 1.0), t
+    assert alpha < 3.0 or gen(1e300) == math.inf
+
+
+def test_scalar_call_rejects_negative_t():
+    for gen in (kl_generator(), hellinger_generator(0.5), tv_generator()):
+        with pytest.raises(InvalidParams):
+            gen(-1.0)

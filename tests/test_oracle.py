@@ -11,6 +11,7 @@ from revpinsker import (
     chi2_generator,
     custom_generator,
     falsify_feasibility,
+    feasible,
     hellinger_generator,
     kl_generator,
     measure_pair,
@@ -259,6 +260,14 @@ class TestFalsifyFeasibility:
 
     def test_one_sided_degenerate(self):
         assert falsify_feasibility(ClassParams(0.1, 1.0, 2.0), SearchConfig())
+
+    @pytest.mark.parametrize("params", [ClassParams(0.25, 0.5, math.inf),
+                                        ClassParams(1e-300, 0.0, 1e300)])
+    def test_feasible_class_without_a_finite_sample_is_a_verdict(self, params):
+        # M = +inf has no finite pair, and the tiny-scale class has no
+        # extremal pair in class: both disagree with feasible, and say so
+        assert feasible(params)
+        assert falsify_feasibility(params, SearchConfig()) is False
 
     def test_near_boundary_infeasible_point_is_detected_as_searchable(self):
         # a point just above the cap has 1e-6-close members; the search finds
