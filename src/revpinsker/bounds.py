@@ -5,7 +5,9 @@ sup of D_f is delta * chord_slope_gap(gen, m, M) = delta * (f(m)/(1-m) +
 f(M)/(M-1)), and chord_slope_gap alone evaluates f.  corollary1_bound is that
 bound at delta = tv_cap(m, M), vajda_bound is delta * chord_slope_gap(gen, 0,
 inf) and renyi_bound is renyi_from_hellinger of the Hellinger-alpha bound.
-kl_bound_ab keeps its own form: its near-1 series beats the plain secant.
+kl_bound_ab keeps its own form: its near-1 series beats the plain secant;
+so does renyi_bound where the Hellinger bound overflows
+(``_renyi_log_domain`` writes out Hellinger's f in the log domain).
 Simic's (KL) and Sason's (chi-squared) weaker comparators fill the dominance
 tables.
 
@@ -195,8 +197,27 @@ def kl_bound_ab(delta: float, a: float, b: float) -> float:
 
 def renyi_bound(alpha: float, params: ClassParams) -> float:
     """Optimal Renyi-alpha bound over the (delta, m, M) class, the monotone
-    transform of the Hellinger-alpha optimum."""
-    return renyi_from_hellinger(alpha, theorem1_bound(hellinger_generator(alpha), params))
+    transform of the Hellinger-alpha optimum.  For finite M the bound is
+    finite; when the float Hellinger bound overflows (alpha > 1, M**alpha
+    past float range), the transform is composed in the log domain."""
+    value = renyi_from_hellinger(alpha, theorem1_bound(hellinger_generator(alpha), params))
+    return _renyi_log_domain(float(alpha), params) if value == INF else value
+
+
+def _renyi_log_domain(alpha: float, params: ClassParams) -> float:
+    """log(1 + (alpha-1) h) / (alpha-1) for alpha > 1 from (delta, m, M),
+    where the Hellinger bound h overflows.  (alpha-1) h = x - b with
+    x = delta (M**alpha - 1)/(M - 1) and b = delta (1 - m**alpha)/(1 - m) <= 1;
+    here M**alpha is past float range, so M**alpha - 1 rounds to M**alpha
+    and log x = log delta + alpha log M - log(M - 1)."""
+    delta, m, M = params.delta, params.m, params.M
+    b = delta * (1.0 - m**alpha) / (1.0 - m)
+    log_x = math.log(delta) + alpha * math.log(M) - math.log(M - 1.0)
+    if log_x > 0.0:
+        log_arg = log_x + math.log1p((1.0 - b) * math.exp(-log_x))
+    else:
+        log_arg = math.log1p(math.exp(log_x) - b)
+    return log_arg / (alpha - 1.0)
 
 
 def simic_kl_bound(a: float, b: float) -> float:

@@ -274,10 +274,37 @@ class TestRenyi:
         value = renyi_bound(alpha, ClassParams(0.0, 1.0, 1.0))
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_overflowing_M_is_inf(self):
-        # (1e300)**3 overflows to inf; a Python-float power would raise
-        assert renyi_bound(3, ClassParams(0.1, 0.5, 1e300)) == INF
+    @staticmethod
+    def mp_renyi(alpha, delta, m, M):
+        """log(1 + (alpha-1) h) / (alpha-1) of the Hellinger bound h at 50 digits."""
+        import mpmath as mp
+
+        with mp.workdps(50):
+            a, d, m, M = (mp.mpf(x) for x in (alpha, delta, m, M))
+            f = hellinger_generator(alpha).mp_fn
+            h = d * (f(m) / (1 - m) + f(M) / (M - 1))
+            return mp.log1p((a - 1) * h) / (a - 1)
+
+    def test_overflowing_M_is_finite(self):
+        # (1e300)**3 overflows, so the float Hellinger bound is inf; the Renyi
+        # bound is composed in the log domain
+        value = renyi_bound(3, ClassParams(0.1, 0.5, 1e300))
+        assert value == pytest.approx(689.624235351717, rel=1e-14)
+        assert value == pytest.approx(float(self.mp_renyi(3, 0.1, 0.5, 1e300)), rel=1e-14)
+
+    @pytest.mark.parametrize("alpha, delta, m, M", [
+        (2.0, 0.1, 0.5, 1e200),     # f(M)/(M-1) is finite, f(M) overflows
+        (1.5, 0.3, 0.0, 1e250),
+        (3.0, 1e-300, 0.0, 1e300),
+        (2.0, 0.5, 0.0, 1e308),
+        (1.5, 1e-5, 0.9, 1e300),
+        (2000.0, 0.2, 0.5, 1.5),    # 1.5**2000 overflows at a small M
+        (1.2, 1e-290, 0.5, 1e299),  # log x < 0: the argument stays near 1
+    ])
+    def test_overflowing_hellinger_bound_matches_mpmath(self, alpha, delta, m, M):
+        assert theorem1_bound(hellinger_generator(alpha), ClassParams(delta, m, M)) == INF
+        value = renyi_bound(alpha, ClassParams(delta, m, M))
+        assert value == pytest.approx(float(self.mp_renyi(alpha, delta, m, M)), rel=1e-13)
 
     def test_m_zero_specialization(self):
         assert renyi_bound(2, ClassParams(0.25, 0.0, 2.0)) == pytest.approx(

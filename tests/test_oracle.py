@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -25,9 +26,11 @@ from revpinsker import (
     verify_membership,
 )
 from revpinsker.errors import Infeasible, InvalidParams
+from revpinsker import oracle
 from revpinsker.oracle import (
     DIVERGENCE_THRESHOLD,
     MATCH_TOLERANCE,
+    PERTURBATION_STEPS,
     _beats,
     _sample_batch,
     _search_for_member,
@@ -203,6 +206,103 @@ class TestSearchSup:
         assert a.best_value == b.best_value
         assert a.violations == b.violations
         np.testing.assert_array_equal(a.best_pair[0].weights, b.best_pair[0].weights)
+
+    def test_history_has_one_entry_per_chunk(self):
+        out = search_sup(kl_generator(), PARAMS, SearchConfig(trials=25_000, seed=3))
+        assert [rows for rows, _, _ in out.history] == [20_000, 5_000]
+        assert out.history[-1] == (5_000, out.best_value, out.violations)
+        bests = [best for _, best, _ in out.history]
+        assert bests == sorted(bests)
+        assert all(isinstance(best, float) for best in bests)
+
+    def test_history_counts_the_extremal_seed(self):
+        # at delta = 0 nothing beats the one-atom seed, whose value is 0
+        out = search_sup(kl_generator(), ClassParams(0.0, 1.0, 1.0),
+                         SearchConfig(trials=30, seed=0))
+        assert out.history == ((30, 0.0, 0),)
+
+
+def _interleaved_calls():
+    """Sampler and search calls that differ in class, support size, trial
+    count and seed; the 25 000-trial search spans two chunks."""
+    return [
+        ("batch", ClassParams(0.2, 0.3, 5.0), 6, 2_000, 1),
+        ("search", PARAMS, 12, 25_000, 2),
+        ("batch", ClassParams(0.0, 1.0, 1.0), 3, 50, 3),
+        ("batch", ClassParams(0.1, 0.0, 100.0), 12, 700, 4),
+        ("search", ClassParams(tv_cap(0.5, 2.0), 0.5, 2.0), 4, 300, 5),
+        ("batch", PARAMS, 9, 1, 6),
+    ]
+
+
+def _run(call):
+    """The arrays a call returns: (p, q) for the sampler; the best pair and
+    the history for a search."""
+    kind, params, n, trials, seed = call
+    if kind == "batch":
+        rng = np.random.default_rng(seed)
+        return _sample_batch(params, ternary_extremal(params), n, trials, rng,
+                             PERTURBATION_STEPS)
+    out = search_sup(kl_generator(), params, SearchConfig(n, trials, seed))
+    return (out.best_pair[0].weights, out.best_pair[1].weights,
+            np.array(out.history), np.array([out.violations]))
+
+
+def _same_bits(a, b) -> bool:
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in zip(a, b, strict=True))
+
+
+class TestScratchArena:
+    def test_interleaved_calls_reproduce_their_first_run(self):
+        calls = _interleaved_calls()
+        first = [_run(c) for c in calls]
+        kept = [tuple(a.copy() for a in arrays) for arrays in first]
+        again = [_run(c) for c in reversed(calls)][::-1]
+        for c, a, b, k in zip(calls, first, again, kept):
+            assert _same_bits(a, b), c
+            assert _same_bits(a, k), c  # later calls left the first outputs alone
+
+    def test_outputs_share_no_memory_with_later_calls(self):
+        params = ClassParams(0.2, 0.3, 5.0)
+        base = ternary_extremal(params)
+        outputs = [_sample_batch(params, base, 6, 500, np.random.default_rng(s), 4)
+                   for s in range(3)]
+        arrays = [a for pair in outputs for a in pair]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+            for buf in oracle._scratch.arrays.values():
+                assert not np.shares_memory(a, buf)
+
+    def test_concurrent_searches_match_serial(self):
+        jobs = [(kl_generator(), params, SearchConfig(n, trials, seed))
+                for _, params, n, trials, seed in _interleaved_calls()]
+        jobs += [(chi2_generator(), ClassParams(0.2, 0.3, 5.0), SearchConfig(8, 3_000, 7))]
+
+        def key(out):
+            return (out.best_value, out.violations, out.history,
+                    out.best_pair[0].values, out.best_pair[1].values)
+
+        serial = [key(search_sup(*job)) for job in jobs]
+        results = {}
+        barrier = threading.Barrier(2)
+
+        def worker(name, order):
+            barrier.wait()
+            results[name] = [(k, key(search_sup(*jobs[k]))) for k in order * 3]
+
+        threads = [threading.Thread(target=worker, args=(name, order)) for name, order in
+                   (("forward", list(range(len(jobs)))),
+                    ("backward", list(reversed(range(len(jobs))))))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(results) == 2
+        for outcomes in results.values():
+            for k, outcome in outcomes:
+                assert outcome == serial[k], jobs[k]
 
 
 class TestUnconstrainedSweep:
