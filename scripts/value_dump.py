@@ -14,7 +14,8 @@ m and M reaching 0, 1 and +inf and the ill-conditioned points next to them,
 for the generators kl, tv, chi2 and Hellinger 0.25, 0.5, 2 and 3.  Per class
 it covers ``theorem1_bound``, ``corollary1_bound``, ``vajda_bound``,
 ``renyi_bound``, ``kl_bound_ab``, the extremal pair (weights, q, p, t and
-D_f), ``verify_membership`` of that pair and ``falsify_feasibility``; per
+D_f), ``verify_membership`` of that pair, ``theorem1_bound`` for KL on the
+pair's measured class and ``falsify_feasibility``; per
 generator, ``search_unconstrained_sup`` at four total variations.  Runs in
 process and is deterministic.
 """
@@ -34,6 +35,7 @@ from revpinsker import (
     hellinger_generator,
     kl_bound_ab,
     kl_generator,
+    measure_pair,
     renyi_bound,
     search_unconstrained_sup,
     ternary_extremal,
@@ -102,6 +104,10 @@ def dump_class(gens, delta: float, m: float, M: float) -> None:
     report = verify_membership(pair.P, pair.Q, params, generators=tuple(gens))
     for field in REPORT_FIELDS:
         emit(f"verify_membership.{field}", args, lambda: getattr(report, field))
+    # rounding in the measured m and M must not empty the class
+    measured = measure_pair(pair.P, pair.Q)
+    emit("theorem1_bound.measured", ("kl",) + args,
+         lambda: theorem1_bound(kl_generator(), ClassParams(*measured)))
 
 
 def main(argv: list[str] | None = None) -> int:

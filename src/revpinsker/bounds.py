@@ -44,6 +44,11 @@ INF = math.inf
 #: cap, absolute on M - m when m or M is 1
 FEASIBILITY_SLACK = 1e-9
 
+#: relative widening of m and M before the cap comparison, 4 to 8 ulps: a
+#: measured ratio carries a few ulps of rounding, which moves the cap by
+#: about ulp(m)/(1 - m) as m -> 1 and ulp(M)/(M - 1) as M -> 1
+_RATIO_ROUNDING = 2.0**-50
+
 
 def _check_delta(delta: float) -> None:
     """Raise InvalidParams unless the total variation delta is in [0, 1]."""
@@ -105,15 +110,16 @@ def feasible(params: ClassParams) -> bool:
 
     True iff m = M = 1 with delta = 0, or m < 1 < M with 0 < delta <= cap.
     Measured parameters of a real pair are never rejected by rounding: the
-    cap comparison carries a tiny relative slack, and when m or M is 1 the
-    class with delta = 0 is accepted for M - m <= FEASIBILITY_SLACK (a pair
-    that differs only in its last bits can measure m = 1, M = 1 + 2**-52).
+    cap is taken at m and M widened by a few ulps (``_RATIO_ROUNDING``) and
+    carries a tiny relative slack, and when m or M is 1 the class with
+    delta = 0 is accepted for M - m <= FEASIBILITY_SLACK (a pair that
+    differs only in its last bits can measure m = 1, M = 1 + 2**-52).
     """
     if params.m == 1.0 or params.M == 1.0:
         return params.delta == 0.0 and params.M - params.m <= FEASIBILITY_SLACK
     if params.delta <= 0.0:
         return False
-    cap = tv_cap(params.m, params.M)
+    cap = tv_cap(params.m * (1.0 - _RATIO_ROUNDING), params.M * (1.0 + _RATIO_ROUNDING))
     return params.delta <= cap * (1.0 + FEASIBILITY_SLACK)
 
 

@@ -86,22 +86,27 @@ def _same(value: float) -> float:
 
 
 def _resolve_divergence(spec: str):
-    """Return (Generator, report) for a --div spec; ``report`` maps the
-    generator's divergence, or a bound on it, to the printed value.  It is
-    the identity, except for renyi:alpha: there the generator is Hellinger's
-    of order alpha, named renyi:alpha, and report is the monotone
-    ``renyi_from_hellinger(alpha, .)``."""
+    """Return (Generator, report, class_bound) for a --div spec.  ``report``
+    maps the generator's divergence, or a bound on it, to the printed value;
+    ``class_bound(params)`` is the printed optimal bound over a class.  They
+    are the identity and ``theorem1_bound(gen, .)``, except for renyi:alpha:
+    there the generator is Hellinger's of order alpha, named renyi:alpha,
+    report is the monotone ``renyi_from_hellinger(alpha, .)`` and
+    class_bound is ``renyi_bound(alpha, .)``, finite where the float
+    Hellinger bound overflows."""
     spec = spec.strip().lower()
     named = {"kl": kl_generator, "tv": tv_generator, "chi2": chi2_generator}
     if spec in named:
-        return named[spec](), _same
-    if spec.startswith("hellinger:"):
-        return hellinger_generator(_parse_number(spec.split(":", 1)[1])), _same
-    if spec.startswith("renyi:"):
+        gen = named[spec]()
+    elif spec.startswith("hellinger:"):
+        gen = hellinger_generator(_parse_number(spec.split(":", 1)[1]))
+    elif spec.startswith("renyi:"):
         alpha = _parse_number(spec.split(":", 1)[1])
-        gen = hellinger_generator(alpha)
-        return replace(gen, name=f"renyi:{alpha:g}"), partial(renyi_from_hellinger, alpha)
-    raise ParseError(f"unknown divergence {spec!r}")
+        gen = replace(hellinger_generator(alpha), name=f"renyi:{alpha:g}")
+        return gen, partial(renyi_from_hellinger, alpha), partial(renyi_bound, alpha)
+    else:
+        raise ParseError(f"unknown divergence {spec!r}")
+    return gen, _same, partial(theorem1_bound, gen)
 
 
 def _fmt(x, csv: bool):
@@ -140,27 +145,33 @@ def _record(command: str, inputs: dict, results: dict, status: str = "n/a") -> d
 
 
 def _cmd_bound(args) -> int:
-    gen, report = _resolve_divergence(args.div)
+    gen, report, class_bound = _resolve_divergence(args.div)
     inputs = {"div": args.div, "formula": args.formula, "delta": args.delta,
               "m": args.m, "M": args.M}
     if args.formula == "thm1":
         if args.delta is None or args.m is None or args.M is None:
             raise ParseError("thm1 needs --delta, --m and --M")
-        value = theorem1_bound(gen, ClassParams(delta=args.delta, m=args.m, M=args.M))
+        value = class_bound(ClassParams(delta=args.delta, m=args.m, M=args.M))
     elif args.formula == "cor1":
         if args.m is None or args.M is None:
             raise ParseError("cor1 needs --m and --M")
-        value = corollary1_bound(gen, args.m, args.M)
+        # the class bound at delta = cap; a zero cap (m = 1 or M = 1) is
+        # the class P = Q, which corollary1_bound reads as 0
+        cap = tv_cap(args.m, args.M)
+        if cap > 0.0:
+            value = class_bound(ClassParams(delta=cap, m=args.m, M=args.M))
+        else:
+            value = report(corollary1_bound(gen, args.m, args.M))
     else:  # cor2; argparse restricts --formula to the three choices
         if args.delta is None:
             raise ParseError("cor2 needs --delta")
-        value = vajda_bound(gen, args.delta)
-    _emit_record(_record("bound", inputs, {"bound": report(value)}), args.format)
+        value = report(vajda_bound(gen, args.delta))
+    _emit_record(_record("bound", inputs, {"bound": value}), args.format)
     return EXIT_OK
 
 
 def _cmd_divergence(args) -> int:
-    gen, report = _resolve_divergence(args.div)
+    gen, report, _ = _resolve_divergence(args.div)
     from .distributions import validate_distribution
 
     P = validate_distribution(_parse_weights(args.p))
@@ -200,7 +211,7 @@ def _cmd_verify(args) -> int:
     P = validate_distribution(_parse_weights(args.p))
     Q = validate_distribution(_parse_weights(args.q))
     params = ClassParams(delta=args.delta, m=args.m, M=args.M)
-    divs = [_resolve_divergence(d) for d in args.div.split(",")]
+    divs = [_resolve_divergence(d)[:2] for d in args.div.split(",")]
     pair = verify_membership(
         P, Q, params, tol=args.tol, generators=tuple(gen for gen, _ in divs)
     )
@@ -275,7 +286,7 @@ def _cmd_compare(args) -> int:
 def _cmd_fuzz(args) -> int:
     from .oracle import SearchConfig, search_sup
 
-    gen, report = _resolve_divergence(args.div)
+    gen, report, _ = _resolve_divergence(args.div)
     params = ClassParams(delta=args.delta, m=args.m, M=args.M)
     config = SearchConfig(support_size=args.n, trials=args.trials, seed=args.seed)
     outcome = search_sup(gen, params, config)
@@ -333,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("compare", help="dominance table against prior bounds")
-    p.add_argument("--grid", choices=("default",), default="default")
     p.add_argument(
         "--comparator",
         choices=("simic", "sason-chi2", "sason-renyi", "verdu"),
@@ -368,8 +378,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def __getattr__(name: str):
-    # search_sup and SearchConfig stay names of this module, but the oracle,
-    # and with it numpy, loads only when one of them or fuzz is used
+    # search_sup and SearchConfig stay names of this module, but the oracle
+    # is compiled only when one of them or fuzz is used
     if name in ("SearchConfig", "search_sup"):
         from . import oracle
 

@@ -25,14 +25,6 @@ class NotAbsolutelyContinuous(RevPinskerError):
     """P puts mass where Q has none."""
 
 
-class MeanOutOfRange(RevPinskerError):
-    pass
-
-
-class DegenerateInterval(RevPinskerError):
-    pass
-
-
 class InvalidAlpha(RevPinskerError):
     pass
 

@@ -1,4 +1,4 @@
-"""Convex generators f for f-divergences, and the chord (secant) bound.
+"""Convex generators f for f-divergences.
 
 A generator is a convex f on [0, inf) with f(1) = 0, carried together with its
 two limit values: f(0+) and f'(inf) = lim f(t)/t, each possibly +inf.  These
@@ -12,14 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .errors import (
-    DegenerateInterval,
-    FailsAnchorCheck,
-    FailsConvexitySample,
-    InvalidAlpha,
-    InvalidParams,
-    MeanOutOfRange,
-)
+from .errors import FailsAnchorCheck, FailsConvexitySample, InvalidAlpha, InvalidParams
 
 if TYPE_CHECKING:
     import numpy as np
@@ -213,20 +206,3 @@ def custom_generator(
         name=name, fn=f, f_at_zero=f_at_zero, slope_at_infinity=slope_at_infinity
     )
 
-
-def chord_bound(gen_or_convex, a: float, b: float, mean: float) -> float:
-    """Upper bound on E[f(kappa)] for kappa in [a, b] with the given mean.
-
-    Returns abar*f(a) + (1-abar)*f(b) with abar = (b - mean)/(b - a), the
-    chord of f through the endpoints evaluated at the mean.
-    """
-    a, b, mean = float(a), float(b), float(mean)
-    if not (a < b) or not math.isfinite(a) or not math.isfinite(b):
-        raise DegenerateInterval(f"invalid interval [{a}, {b}]")
-    if not (a <= mean <= b):
-        raise MeanOutOfRange(f"mean {mean} outside [{a}, {b}]")
-    f = gen_or_convex  # Generator instances are callable
-    abar = (b - mean) / (b - a)
-    fa = float(f(a))
-    fb = float(f(b))
-    return abar * fa + (1.0 - abar) * fb

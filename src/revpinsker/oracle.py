@@ -33,6 +33,10 @@ The oracle adds no class checks of its own: ``theorem1_bound`` and
 ``ternary_extremal`` ask the one class guard, ``ClassParams.check_finite``.
 Only ``falsify_feasibility`` calls ``feasible``, to test it against an
 independent member search.
+
+As in every module of the package, numpy is imported inside the functions
+that build arrays, so importing this module loads neither numpy nor mpmath.
+The arena imports it only when a buffer grows.
 """
 
 from __future__ import annotations
@@ -40,8 +44,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bounds import INF, ClassParams, bound_gap, feasible, theorem1_bound, tv_cap, vajda_bound
 from .distributions import Distribution, validate_distribution
@@ -49,6 +52,9 @@ from .divergence import batch_f_divergence, f_divergence
 from .errors import InvalidParams
 from .extremal import ExtremalPair, ternary_extremal, verify_membership
 from .generators import Generator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: proxy threshold for "the supremum is infinite" in unconstrained sweeps
 DIVERGENCE_THRESHOLD = 1e6
@@ -129,6 +135,8 @@ class _Scratch(threading.local):
         size = math.prod(shape)
         buf = self.arrays.get(name)
         if buf is None or buf.size < size:
+            import numpy as np
+
             buf = self.arrays[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
 
@@ -136,6 +144,8 @@ class _Scratch(threading.local):
         """0, 1, ..., size - 1, kept from call to call."""
         buf = self.arrays.get("arange")
         if buf is None or buf.size < size:
+            import numpy as np
+
             buf = self.arrays["arange"] = np.arange(size)
         return buf[:size]
 
@@ -181,6 +191,8 @@ def _sample_batch(
     ``mode="clip"``: with ``out=`` the default mode writes through a
     temporary copy, and every index here is in range.
     """
+    import numpy as np
+
     if n < 3:
         raise InvalidParams("need support size n >= 3")
     s = _scratch
@@ -273,6 +285,8 @@ def sample_pair_in_class(
     params: ClassParams, n: int, seed: int
 ) -> tuple[Distribution, Distribution]:
     """One pair with measured (delta, m, M) matching params to ~1e-9."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     p, q = _sample_batch(params, ternary_extremal(params), n, 1, rng, PERTURBATION_STEPS)
     return validate_distribution(p[0]), validate_distribution(q[0])
@@ -286,6 +300,8 @@ def search_sup(gen: Generator, params: ClassParams, config: SearchConfig) -> Sea
     beats the closed-form bound (``_beats``).  Tightness: the gap at the
     best pair is numerically zero.
     """
+    import numpy as np
+
     bound = theorem1_bound(gen, params)
     ext = ternary_extremal(params)
     rng = np.random.default_rng(config.seed)
@@ -323,6 +339,8 @@ def search_unconstrained_sup(gen: Generator, delta: float) -> SearchOutcome:
     infinite the sweep continues in mpmath, beyond float range, until the
     divergence proxy threshold is exceeded.
     """
+    import numpy as np
+
     delta = float(delta)
     if not (0.0 <= delta < 1.0):
         raise InvalidParams("sweep requires 0 <= delta < 1 (delta = 1 needs M = inf)")
@@ -391,6 +409,8 @@ def _search_for_member(params: ClassParams, config: SearchConfig) -> bool:
         return False
     if M == INF:
         return False  # finite discrete pairs have finite ratios
+    import numpy as np
+
     rng = np.random.default_rng(config.seed)
     count = max(config.trials, 2000)
     e = rng.gamma(1.0, size=(count, 3))

@@ -2,6 +2,7 @@ import importlib.util
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revpinsker import (
     INF,
@@ -16,6 +17,7 @@ from revpinsker import (
     kl_bound_ab,
     kl_generator,
     log_over_x_minus_1,
+    measure_pair,
     renyi_bound,
     renyi_from_hellinger,
     sample_pair_in_class,
@@ -84,6 +86,23 @@ class TestFeasible:
         assert feasible(ClassParams(0.0, 1.0 - 2.0**-53, 1.0))
         assert not feasible(ClassParams(1e-22, 1.0, 1.0 + 2.0**-52))
         assert theorem1_bound(KL, ClassParams(0.0, 1.0, 1.0 + 2.0**-52)) == 0.0
+
+    @given(st.floats(-13.0, -3.0), st.floats(-12.0, 3.0), st.sampled_from((1.0, 0.5)))
+    @settings(max_examples=300, deadline=None)
+    def test_measured_extremal_pair_is_accepted(self, log_one_minus_m, log_M_minus_one, frac):
+        # near m = 1 or M = 1 one ulp of rounding in the measured m or M
+        # moves the cap by far more than FEASIBILITY_SLACK
+        m, M = 1.0 - 10.0**log_one_minus_m, 1.0 + 10.0**log_M_minus_one
+        pair = ternary_extremal(ClassParams(frac * tv_cap(m, M), m, M))
+        measured = ClassParams(*measure_pair(pair.P, pair.Q))
+        assert feasible(measured)
+        assert theorem1_bound(KL, measured) >= 0.0
+
+    def test_kl_bound_ab_at_the_cap_of_reciprocal_extremes(self):
+        # 1 / (1 / m) is m only to an ulp, which is 1e-8 of 1 - m here
+        m, M = 0.9999999802002065, 728900.8256496971
+        value = kl_bound_ab(tv_cap(m, M), 1.0 / M, 1.0 / m)
+        assert value == pytest.approx(corollary1_bound(KL, m, M), rel=1e-6)
 
 
 class TestClassGuard:
@@ -305,6 +324,11 @@ class TestRenyi:
         assert theorem1_bound(hellinger_generator(alpha), ClassParams(delta, m, M)) == INF
         value = renyi_bound(alpha, ClassParams(delta, m, M))
         assert value == pytest.approx(float(self.mp_renyi(alpha, delta, m, M)), rel=1e-13)
+
+    def test_small_delta_keeps_its_digits(self):
+        # the Hellinger bound is 1.5e-17, which 1 + h rounds away
+        value = renyi_bound(2, ClassParams(1e-17, 0.5, 2.0))
+        assert value == pytest.approx(float(self.mp_renyi(2, 1e-17, 0.5, 2.0)), rel=1e-15)
 
     def test_m_zero_specialization(self):
         assert renyi_bound(2, ClassParams(0.25, 0.0, 2.0)) == pytest.approx(

@@ -176,7 +176,7 @@ class TestVerify:
 class TestCompare:
     @pytest.mark.parametrize("comparator", ["simic", "sason-chi2", "sason-renyi", "verdu"])
     def test_prior_dominates_new(self, comparator):
-        result = run("compare", "--grid", "default", "--comparator", comparator)
+        result = run("compare", "--comparator", comparator)
         assert result.returncode == 0
         lines = result.stdout.strip().splitlines()
         assert lines[0] == "m,M,delta,new_bound,prior_bound,ratio"
@@ -190,7 +190,8 @@ class TestCompare:
     def test_unknown_grid_exit_3(self, capsys):
         from revpinsker.cli import main
 
-        assert main(["compare", "--grid", "x", "--comparator", "simic"]) == 3
+        # the one-value --grid flag is gone: every grid value is unknown
+        assert main(["compare", "--grid", "default", "--comparator", "simic"]) == 3
         assert capsys.readouterr().out == ""
 
 
@@ -277,7 +278,8 @@ class TestFormats:
 
 class TestRenyi:
     """renyi:alpha in every subcommand prints the library's Hellinger-alpha
-    result passed through renyi_from_hellinger, bit for bit."""
+    result passed through renyi_from_hellinger, bit for bit; the optimal
+    bounds of ``bound`` (thm1, cor1) print ``renyi_bound`` itself."""
 
     DELTA, M_LOW, M_HIGH = 0.3985, 0.396, 79.856
     CLASS = ("--delta", "0.3985", "--m", "0.396", "--M", "79.856")
@@ -305,6 +307,26 @@ class TestRenyi:
             assert as_float(rec["results"]["bound"]) == renyi_from_hellinger(alpha, value)
             if formula == "thm1":
                 assert as_float(rec["results"]["bound"]) == renyi_bound(alpha, params)
+
+    def test_bound_is_renyi_bound_past_hellinger_overflow(self, capsys):
+        # (1e300)**3 overflows: the Hellinger bound is inf, the Renyi bound is not
+        from revpinsker import ClassParams, renyi_bound, tv_cap
+
+        m, M = 0.5, 1e300
+        for formula, delta in (("thm1", 0.1), ("cor1", tv_cap(m, M))):
+            code, rec = main_record(capsys, "bound", "--div", "renyi:3", "--formula", formula,
+                                    "--delta", repr(delta), "--m", repr(m), "--M", repr(M))
+            assert code == 0
+            expected = renyi_bound(3, ClassParams(delta, m, M))
+            assert math.isfinite(expected)
+            assert rec["results"]["bound"] == expected
+
+    @pytest.mark.parametrize("m, M", [("1", "1e300"), ("0.5", "1"), ("1", "1")])
+    def test_cor1_at_zero_cap_is_zero(self, m, M, capsys):
+        code, rec = main_record(capsys, "bound", "--div", "renyi:3", "--formula", "cor1",
+                                "--m", m, "--M", M)
+        assert code == 0
+        assert rec["results"]["bound"] == 0.0
 
     @pytest.mark.parametrize("args, key", [
         (("divergence", "--div", "renyi:0.5", "--p", "0.5,0.5", "--q", "0.5,0.5"),

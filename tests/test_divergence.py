@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revpinsker import (
     INF,
@@ -120,6 +122,17 @@ def test_renyi_from_hellinger_zero_is_positive_zero(alpha, h):
     # log(1) / (alpha - 1) alone is -0.0 for alpha < 1
     value = renyi_from_hellinger(alpha, h)
     assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+@given(st.sampled_from((0.25, 0.5, 2.0, 3.0)), st.floats(-300.0, -3.0))
+@settings(max_examples=200, deadline=None)
+def test_renyi_from_hellinger_keeps_small_values(alpha, log_h):
+    # 1 + (alpha-1) h would round a small h away; the 50-digit reference does not
+    h = 10.0**log_h
+    with mpmath.workdps(50):
+        exact = mpmath.log1p((alpha - 1) * mpmath.mpf(h)) / (alpha - 1)
+        rel = abs((renyi_from_hellinger(alpha, h) - exact) / exact)
+    assert rel <= 1e-15
 
 
 def test_renyi_from_hellinger_log_domain():

@@ -6,19 +6,17 @@ import pytest
 from revpinsker import (
     INF,
     chi2_generator,
-    chord_bound,
+    corollary1_bound,
     custom_generator,
     hellinger_generator,
     kl_generator,
     tv_generator,
 )
 from revpinsker.errors import (
-    DegenerateInterval,
     FailsAnchorCheck,
     FailsConvexitySample,
     InvalidAlpha,
     InvalidParams,
-    MeanOutOfRange,
 )
 
 
@@ -117,25 +115,9 @@ def test_custom_generator_rejects_minus_inf_and_nan_limits(f_at_zero, slope):
         custom_generator(lambda t: abs(t - 1.0), f_at_zero, slope)
 
 
-def test_chord_bound_tv_recovers_cap():
-    # chord of |t-1|/2 over [m, M] at mean 1 is the feasibility cap
-    assert chord_bound(tv_generator(), 0.5, 2.0, 1.0) == pytest.approx(1 / 3, abs=1e-12)
-
-
-def test_chord_bound_square():
-    assert chord_bound(lambda t: t * t, 0.0, 2.0, 1.0) == pytest.approx(2.0, abs=1e-15)
-
-
-def test_chord_bound_anchor_degenerate_weighting():
-    # mean at the left endpoint puts all weight on f(a) = f(1) = 0
-    assert chord_bound(kl_generator(), 1.0, 2.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_chord_bound_errors():
-    with pytest.raises(DegenerateInterval):
-        chord_bound(kl_generator(), 1.0, 1.0, 1.0)
-    with pytest.raises(MeanOutOfRange):
-        chord_bound(kl_generator(), 0.5, 2.0, 3.0)
+def test_corollary1_tv_recovers_cap():
+    # the tv bound at the cap is the cap itself, (M-1)(1-m)/(M-m) = 1/3
+    assert corollary1_bound(tv_generator(), 0.5, 2.0) == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_scalar_only_custom_generator_matches_kl():
