@@ -11,7 +11,9 @@ oracle's searches and sampler, ``batch_f_divergence``, ``f_divergence``,
 ``Generator.evaluate``, ``custom_generator``, ``Distribution.weights``), so
 importing the package loads neither numpy nor mpmath; mpmath loads only
 where an ``mp_fn`` runs.  The oracle's names (``search_sup``,
-``SearchConfig``, ...) resolve on first use.
+``SearchConfig``, ...) resolve on first use.  The records (``ClassParams``,
+``Distribution``, ``Generator``, ...) are plain classes on
+``errors.Record``, so no import loads ``dataclasses`` and its ``inspect``.
 """
 
 from .bounds import (
@@ -40,6 +42,7 @@ from .divergence import (
     batch_f_divergence,
     f_divergence,
     measure_pair,
+    renyi_divergence,
     renyi_from_hellinger,
 )
 from .extremal import ExtremalPair, PairReport, ternary_extremal, verify_membership
@@ -89,6 +92,7 @@ __all__ = [
     "measure_pair",
     "ratio_extremes",
     "renyi_bound",
+    "renyi_divergence",
     "renyi_from_hellinger",
     "sample_pair_in_class",
     "sason_chi2_bound",
@@ -105,4 +109,4 @@ __all__ = [
     "verify_membership",
 ]
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -32,10 +32,9 @@ checks on delta and on 0 <= m <= 1 <= M each have one helper, shared by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .divergence import renyi_from_hellinger
-from .errors import Infeasible, InvalidParams, LogDomain, UnboundedM
+from .errors import Infeasible, InvalidParams, LogDomain, Record, UnboundedM
 from .generators import Generator, hellinger_generator
 
 INF = math.inf
@@ -62,8 +61,7 @@ def _check_ratio_extremes(m: float, M: float) -> None:
         raise InvalidParams(f"need 0 <= m <= 1 <= M, got m={m!r}, M={M!r}")
 
 
-@dataclass(frozen=True)
-class ClassParams:
+class ClassParams(Record):
     """The triple (delta, m, M) identifying a constraint class.
 
     delta is total variation in [0, 1]; m and M are the ratio infimum and
@@ -71,16 +69,15 @@ class ClassParams:
     fails the domain checks and raises InvalidParams.
     """
 
-    delta: float
-    m: float
-    M: float
+    __slots__ = _fields = ("delta", "m", "M")
 
-    def __post_init__(self):
-        object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "m", float(self.m))
-        object.__setattr__(self, "M", float(self.M))
-        _check_delta(self.delta)
-        _check_ratio_extremes(self.m, self.M)
+    def __init__(self, delta: float, m: float, M: float):
+        delta, m, M = float(delta), float(m), float(M)
+        _check_delta(delta)
+        _check_ratio_extremes(m, M)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "M", M)
 
     def check_finite(self) -> None:
         """The one class guard: raise Infeasible when no pair has these

@@ -13,7 +13,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
 from functools import partial
 
 from .bounds import (
@@ -30,10 +29,11 @@ from .bounds import (
     tv_cap,
     vajda_bound,
 )
-from .divergence import f_divergence, measure_pair, renyi_from_hellinger
+from .divergence import f_divergence, measure_pair, renyi_divergence
 from .errors import RevPinskerError
 from .extremal import ternary_extremal, verify_membership
 from .generators import (
+    Generator,
     chi2_generator,
     hellinger_generator,
     kl_generator,
@@ -81,19 +81,20 @@ def _parse_weights(text: str) -> list[float]:
         raise ParseError(f"bad weight list: {text!r}")
 
 
-def _same(value: float) -> float:
+def _same(value: float, pair=None) -> float:
     return value
 
 
 def _resolve_divergence(spec: str):
-    """Return (Generator, report, class_bound) for a --div spec.  ``report``
-    maps the generator's divergence, or a bound on it, to the printed value;
-    ``class_bound(params)`` is the printed optimal bound over a class.  They
-    are the identity and ``theorem1_bound(gen, .)``, except for renyi:alpha:
-    there the generator is Hellinger's of order alpha, named renyi:alpha,
-    report is the monotone ``renyi_from_hellinger(alpha, .)`` and
-    class_bound is ``renyi_bound(alpha, .)``, finite where the float
-    Hellinger bound overflows."""
+    """Return (Generator, report, class_bound) for a --div spec.
+    ``report(value, pair)`` maps the generator's divergence of ``pair``, or
+    a bound on it (no pair), to the printed value; ``class_bound(params)``
+    is the printed optimal bound over a class.  They are the identity and
+    ``theorem1_bound(gen, .)``, except for renyi:alpha: there the generator
+    is Hellinger's of order alpha, named renyi:alpha, report is the monotone
+    ``renyi_divergence(alpha, .)``, and class_bound is
+    ``renyi_bound(alpha, .)``; both are finite where the float Hellinger
+    value overflows."""
     spec = spec.strip().lower()
     named = {"kl": kl_generator, "tv": tv_generator, "chi2": chi2_generator}
     if spec in named:
@@ -102,8 +103,9 @@ def _resolve_divergence(spec: str):
         gen = hellinger_generator(_parse_number(spec.split(":", 1)[1]))
     elif spec.startswith("renyi:"):
         alpha = _parse_number(spec.split(":", 1)[1])
-        gen = replace(hellinger_generator(alpha), name=f"renyi:{alpha:g}")
-        return gen, partial(renyi_from_hellinger, alpha), partial(renyi_bound, alpha)
+        h = hellinger_generator(alpha)
+        gen = Generator(f"renyi:{alpha:g}", h.fn, h.f_at_zero, h.slope_at_infinity, h.mp_fn)
+        return gen, partial(renyi_divergence, alpha), partial(renyi_bound, alpha)
     else:
         raise ParseError(f"unknown divergence {spec!r}")
     return gen, _same, partial(theorem1_bound, gen)
@@ -176,7 +178,7 @@ def _cmd_divergence(args) -> int:
 
     P = validate_distribution(_parse_weights(args.p))
     Q = validate_distribution(_parse_weights(args.q))
-    value = report(f_divergence(gen, P, Q))
+    value = report(f_divergence(gen, P, Q), (P, Q))
     delta, m, M = measure_pair(P, Q)
     record = _record(
         "divergence",
@@ -211,10 +213,8 @@ def _cmd_verify(args) -> int:
     P = validate_distribution(_parse_weights(args.p))
     Q = validate_distribution(_parse_weights(args.q))
     params = ClassParams(delta=args.delta, m=args.m, M=args.M)
-    divs = [_resolve_divergence(d)[:2] for d in args.div.split(",")]
-    pair = verify_membership(
-        P, Q, params, tol=args.tol, generators=tuple(gen for gen, _ in divs)
-    )
+    divs = [_resolve_divergence(d) for d in args.div.split(",")]
+    pair = verify_membership(P, Q, params, tol=args.tol)
     results = {
         "measured_delta": pair.measured_delta,
         "measured_m": pair.measured_m,
@@ -223,9 +223,9 @@ def _cmd_verify(args) -> int:
         "deviation_m": pair.deviation_m,
         "deviation_M": pair.deviation_M,
     }
-    for gen, report in divs:
-        value = report(pair.divergences[gen.name])
-        bound = report(pair.bounds[gen.name])
+    for gen, report, class_bound in divs:
+        value = report(f_divergence(gen, P, Q), (P, Q))
+        bound = class_bound(params)
         results[f"divergence.{gen.name}"] = value
         results[f"bound.{gen.name}"] = bound
         results[f"gap.{gen.name}"] = bound_gap(bound, value)
@@ -286,12 +286,13 @@ def _cmd_compare(args) -> int:
 def _cmd_fuzz(args) -> int:
     from .oracle import SearchConfig, search_sup
 
-    gen, report, _ = _resolve_divergence(args.div)
+    gen, report, class_bound = _resolve_divergence(args.div)
     params = ClassParams(delta=args.delta, m=args.m, M=args.M)
     config = SearchConfig(support_size=args.n, trials=args.trials, seed=args.seed)
     outcome = search_sup(gen, params, config)
     # report is monotone, so it keeps the ordering and the violation count
-    best, bound = report(outcome.best_value), report(outcome.bound)
+    best = report(outcome.best_value, outcome.best_pair)
+    bound = class_bound(params)
     record = _record(
         "fuzz",
         {"div": args.div, "delta": args.delta, "m": args.m, "M": args.M,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -16,6 +15,7 @@ from .errors import (
     LengthMismatch,
     NegativeWeight,
     NotAbsolutelyContinuous,
+    Record,
     SumOutOfTolerance,
 )
 
@@ -32,16 +32,22 @@ def _sum(values) -> float:
     return functools.reduce(operator.add, values, 0.0)
 
 
-@dataclass(frozen=True, eq=False)
-class Distribution:
+class Distribution(Record):
     """A point on the probability simplex: nonnegative weights summing to one.
 
     Construct through :func:`validate_distribution`.  ``values`` is the
     renormalized tuple of floats; ``weights`` is the same numbers as a
-    read-only numpy array, built on first use.
+    read-only numpy array, built on first use and cached in the instance's
+    ``__dict__``.  Two distributions are equal only when they are the same
+    object.
     """
 
-    values: tuple[float, ...]
+    _fields = ("values",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, values: tuple[float, ...]):
+        object.__setattr__(self, "values", values)
 
     @functools.cached_property
     def weights(self) -> np.ndarray:

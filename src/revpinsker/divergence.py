@@ -2,14 +2,20 @@
 
 D_f is one sum, :func:`batch_f_divergence`, which checks its rows first;
 :func:`f_divergence` is that sum for one row.  Both load numpy on first
-use; ``measure_pair`` and ``renyi_from_hellinger`` are plain ``math``."""
+use; ``measure_pair``, ``renyi_from_hellinger`` and ``renyi_divergence``
+are plain ``math``."""
 
 from __future__ import annotations
 
 import math
 from typing import TYPE_CHECKING
 
-from .distributions import Distribution, ratio_extremes, total_variation
+from .distributions import (
+    Distribution,
+    check_absolutely_continuous,
+    ratio_extremes,
+    total_variation,
+)
 from .errors import LengthMismatch, LogDomain, NotAbsolutelyContinuous
 from .generators import Generator, check_alpha
 
@@ -58,6 +64,27 @@ def renyi_from_hellinger(alpha: float, h: float) -> float:
         raise LogDomain(f"log argument 1 + {x!r} is not > 0")
     # log1p keeps the digits of a small x that 1 + x would round away
     return math.log1p(x) / (alpha - 1.0) + 0.0  # -0.0 + 0.0 is +0.0
+
+
+def renyi_divergence(
+    alpha: float, h: float, pair: tuple[Distribution, Distribution] | None = None
+) -> float:
+    """Renyi divergence of order alpha from h, the Hellinger divergence of
+    the same order: ``renyi_from_hellinger(alpha, h)``.  Where h overflowed
+    to +inf (alpha > 1) and ``pair`` = (P, Q) is the pair h was measured on,
+    the value is taken from the pair in the log domain instead:
+    log(sum p_i**alpha q_i**(1-alpha)) / (alpha - 1), the sum of exponentials
+    shifted by its largest term.  Without a pair an overflowed h gives +inf,
+    and a pair with mass where Q has none raises NotAbsolutelyContinuous."""
+    alpha = check_alpha(alpha)
+    if not (h == math.inf and alpha > 1.0 and pair is not None):
+        return renyi_from_hellinger(alpha, h)
+    P, Q = pair
+    check_absolutely_continuous(P, Q)
+    logs = [alpha * math.log(p) + (1.0 - alpha) * math.log(q)
+            for p, q in zip(P.values, Q.values) if p > 0.0]
+    top = max(logs)
+    return (top + math.log(math.fsum(math.exp(x - top) for x in logs))) / (alpha - 1.0)
 
 
 def measure_pair(P: Distribution, Q: Distribution) -> tuple[float, float, float]:

@@ -8,20 +8,17 @@ m or M by more than ``RATIO_TOLERANCE`` (relative to M at the M atom).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .bounds import ClassParams, bound_gap, theorem1_bound
 from .distributions import Distribution, validate_distribution
 from .divergence import f_divergence, measure_pair
-from .errors import InvalidParams
+from .errors import InvalidParams, Record
 from .generators import Generator
 
 #: largest |p/q - m| at the m atom, and |p/q - M| / M at the M atom, of a built pair
 RATIO_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class ExtremalPair:
+class ExtremalPair(Record):
     """The three-atom pair P = (tp, t(1-p), 1-t), Q = (tq, t(1-q), 1-t) with
     q = (M-1)/(M-m), p = mq, t = delta (M-m) / ((M-1)(1-m)).
 
@@ -29,11 +26,14 @@ class ExtremalPair:
     pair sits exactly in the requested class; at delta equal to the cap the
     third atom vanishes (t = 1) but the shape is kept."""
 
-    P: Distribution
-    Q: Distribution
-    q: float
-    p: float
-    t: float
+    _fields = ("P", "Q", "q", "p", "t")
+
+    def __init__(self, P: Distribution, Q: Distribution, q: float, p: float, t: float):
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "t", t)
 
 
 def ternary_extremal(params: ClassParams) -> ExtremalPair:
@@ -64,21 +64,37 @@ def ternary_extremal(params: ClassParams) -> ExtremalPair:
     return ExtremalPair(P=P, Q=Q, q=q, p=p, t=t)
 
 
-@dataclass(frozen=True)
-class PairReport:
+class PairReport(Record):
     """Measured class parameters of a concrete pair, their deviation from a
-    target, and per-generator divergence/bound gaps."""
+    target, and per-generator divergence/bound gaps (each a new empty dict
+    when not given)."""
 
-    measured_delta: float
-    measured_m: float
-    measured_M: float
-    deviation_delta: float
-    deviation_m: float
-    deviation_M: float
-    passed: bool
-    divergences: dict = field(default_factory=dict)
-    bounds: dict = field(default_factory=dict)
-    gaps: dict = field(default_factory=dict)
+    _fields = ("measured_delta", "measured_m", "measured_M", "deviation_delta",
+               "deviation_m", "deviation_M", "passed", "divergences", "bounds", "gaps")
+
+    def __init__(
+        self,
+        measured_delta: float,
+        measured_m: float,
+        measured_M: float,
+        deviation_delta: float,
+        deviation_m: float,
+        deviation_M: float,
+        passed: bool,
+        divergences: dict | None = None,
+        bounds: dict | None = None,
+        gaps: dict | None = None,
+    ):
+        object.__setattr__(self, "measured_delta", measured_delta)
+        object.__setattr__(self, "measured_m", measured_m)
+        object.__setattr__(self, "measured_M", measured_M)
+        object.__setattr__(self, "deviation_delta", deviation_delta)
+        object.__setattr__(self, "deviation_m", deviation_m)
+        object.__setattr__(self, "deviation_M", deviation_M)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "divergences", {} if divergences is None else divergences)
+        object.__setattr__(self, "bounds", {} if bounds is None else bounds)
+        object.__setattr__(self, "gaps", {} if gaps is None else gaps)
 
 
 def verify_membership(

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .errors import FailsAnchorCheck, FailsConvexitySample, InvalidAlpha, InvalidParams
+from .errors import FailsAnchorCheck, FailsConvexitySample, InvalidAlpha, InvalidParams, Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -23,8 +22,7 @@ CONVEXITY_SAMPLES = 64
 _CONVEXITY_SEED = 0x5EC4
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Record):
     """Convex generator with its limits at 0 and infinity.
 
     ``fn`` maps t in (0, inf) to f(t).  ``__call__`` calls it on a Python
@@ -34,14 +32,25 @@ class Generator:
     scalar-only callable once, with ``np.vectorize``.  ``fn`` is only
     called on t > 0: at t = 0 both ``__call__`` and ``evaluate`` return
     ``f_at_zero``.  ``mp_fn``, when present, is an mpmath-safe twin used for
-    sweeps beyond float range.
+    sweeps beyond float range; the ``repr``, equality and hash leave it out.
     """
 
-    name: str
-    fn: Callable
-    f_at_zero: float
-    slope_at_infinity: float
-    mp_fn: Optional[Callable] = field(default=None, repr=False, compare=False)
+    __slots__ = _fields = ("name", "fn", "f_at_zero", "slope_at_infinity", "mp_fn")
+    _shown = _fields[:4]
+
+    def __init__(
+        self,
+        name: str,
+        fn: Callable,
+        f_at_zero: float,
+        slope_at_infinity: float,
+        mp_fn: Optional[Callable] = None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "f_at_zero", f_at_zero)
+        object.__setattr__(self, "slope_at_infinity", slope_at_infinity)
+        object.__setattr__(self, "mp_fn", mp_fn)
 
     def __call__(self, t: float) -> float:
         """Evaluate f at a scalar t >= 0; t = 0 returns the stored limit."""

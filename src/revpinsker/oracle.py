@@ -43,13 +43,12 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .bounds import INF, ClassParams, bound_gap, feasible, theorem1_bound, tv_cap, vajda_bound
 from .distributions import Distribution, validate_distribution
 from .divergence import batch_f_divergence, f_divergence
-from .errors import InvalidParams
+from .errors import InvalidParams, Record
 from .extremal import ExtremalPair, ternary_extremal, verify_membership
 from .generators import Generator
 
@@ -79,24 +78,23 @@ _CHUNK_ROWS = 20_000
 _MP_SWEEP_EXPONENTS = (16, 32, 64, 128, 256, 1_000, 10_000, 100_000, 1_000_000, 10_000_000)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Record):
     """What a search samples: pairs on ``support_size`` atoms, ``trials`` of
     them, drawn from ``seed``; identical configs give identical runs."""
 
-    support_size: int = 6
-    trials: int = 1000
-    seed: int = 0
+    __slots__ = _fields = ("support_size", "trials", "seed")
 
-    def __post_init__(self):
-        if not (3 <= self.support_size <= 12):
+    def __init__(self, support_size: int = 6, trials: int = 1000, seed: int = 0):
+        if not (3 <= support_size <= 12):
             raise InvalidParams("support_size must be in [3, 12]")
-        if self.trials < 1:
+        if trials < 1:
             raise InvalidParams("trials must be positive")
+        object.__setattr__(self, "support_size", support_size)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     """Result of a search: the best pair found versus the claimed bound.
 
     ``history`` holds, for ``search_sup``, one (rows, best value so far,
@@ -106,12 +104,23 @@ class SearchOutcome:
     identical calls give equal outcomes.
     """
 
-    best_value: float
-    best_pair: tuple[Distribution, Distribution]
-    bound: float
-    gap: float
-    violations: int
-    history: tuple = ()
+    _fields = ("best_value", "best_pair", "bound", "gap", "violations", "history")
+
+    def __init__(
+        self,
+        best_value: float,
+        best_pair: tuple[Distribution, Distribution],
+        bound: float,
+        gap: float,
+        violations: int,
+        history: tuple = (),
+    ):
+        object.__setattr__(self, "best_value", best_value)
+        object.__setattr__(self, "best_pair", best_pair)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "gap", gap)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "history", history)
 
 
 def _beats(value, bound: float):

@@ -278,8 +278,10 @@ class TestFormats:
 
 class TestRenyi:
     """renyi:alpha in every subcommand prints the library's Hellinger-alpha
-    result passed through renyi_from_hellinger, bit for bit; the optimal
-    bounds of ``bound`` (thm1, cor1) print ``renyi_bound`` itself."""
+    result passed through renyi_from_hellinger, bit for bit, where that is
+    finite; the class bounds (``bound`` thm1 and cor1, ``verify``, ``fuzz``)
+    print ``renyi_bound`` itself, and a pair whose Hellinger value overflows
+    prints ``renyi_divergence``'s log-domain sum."""
 
     DELTA, M_LOW, M_HIGH = 0.3985, 0.396, 79.856
     CLASS = ("--delta", "0.3985", "--m", "0.396", "--M", "79.856")
@@ -381,6 +383,41 @@ class TestRenyi:
         assert res[f"divergence.{hell}"] == h
         assert res[f"bound.{hell}"] == h_bound
         assert res[f"gap.{hell}"] == h_bound - h
+
+    # the extremal pair of (0.1, 0.5, 1e300) at alpha = 3: sum p**3 / q**2
+    # and the Hellinger bound overflow, and both Renyi values are
+    # 689.62423535171668 to 17 digits (50-digit mpmath)
+    OVERFLOW_PAIR = ("--p", "0.1,0.1,0.8", "--q", "0.2,1e-301,0.8")
+    OVERFLOW_CLASS = ("--delta", "0.1", "--m", "0.5", "--M", "1e300")
+    OVERFLOW_RENYI = 689.62423535171668
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_verify_finite_past_hellinger_overflow(self, capsys):
+        code, rec = main_record(capsys, "verify", "--div", "renyi:3",
+                                *self.OVERFLOW_PAIR, *self.OVERFLOW_CLASS)
+        assert code == 0 and rec["status"] == "pass"
+        res = rec["results"]
+        value, bound = res["divergence.renyi:3"], res["bound.renyi:3"]
+        assert value == pytest.approx(self.OVERFLOW_RENYI, rel=0, abs=1e-12)
+        assert bound == pytest.approx(self.OVERFLOW_RENYI, rel=0, abs=1e-12)
+        assert res["gap.renyi:3"] == bound - value
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_divergence_finite_past_hellinger_overflow(self, capsys):
+        code, rec = main_record(capsys, "divergence", "--div", "renyi:3", *self.OVERFLOW_PAIR)
+        assert code == 0
+        value = rec["results"]["divergence"]
+        assert value == pytest.approx(self.OVERFLOW_RENYI, rel=0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_fuzz_finite_past_hellinger_overflow(self, capsys):
+        code, rec = main_record(capsys, "fuzz", "--div", "renyi:3", *self.OVERFLOW_CLASS,
+                                "--trials", "200")
+        assert code == 0 and rec["status"] == "pass"
+        res = rec["results"]
+        for key in ("best_value", "bound"):
+            assert res[key] == pytest.approx(self.OVERFLOW_RENYI, rel=0, abs=1e-12)
+        assert res["gap"] == res["bound"] - res["best_value"]
 
     @pytest.mark.parametrize("alpha", [2.0, 0.5])
     def test_fuzz(self, alpha, capsys):

@@ -14,6 +14,7 @@ from revpinsker import (
     hellinger_generator,
     kl_generator,
     measure_pair,
+    renyi_divergence,
     renyi_from_hellinger,
     total_variation,
     tv_generator,
@@ -152,6 +153,35 @@ def test_renyi_from_hellinger_rejects_bad_alpha(alpha):
     # the order is checked as hellinger_generator and renyi_bound check it
     with pytest.raises(InvalidAlpha):
         renyi_from_hellinger(alpha, 0.5)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
+def test_renyi_divergence_of_finite_hellinger_is_the_transform(alpha, pair):
+    h = f_divergence(hellinger_generator(alpha), *pair)
+    assert renyi_divergence(alpha, h, pair) == renyi_from_hellinger(alpha, h)
+    assert renyi_divergence(alpha, h) == renyi_from_hellinger(alpha, h)
+
+
+def test_renyi_divergence_past_hellinger_overflow():
+    # sum p**3 / q**2 is about 1e599: the Hellinger value overflows, the
+    # Renyi value is its log over 2
+    P = validate_distribution([0.1, 0.1, 0.8])
+    Q = validate_distribution([0.2, 1e-301, 0.8])
+    with np.errstate(over="ignore"):
+        h = f_divergence(hellinger_generator(3), P, Q)
+    assert h == INF
+    with mpmath.workdps(50):
+        terms = (mpmath.mpf(p) ** 3 / mpmath.mpf(q) ** 2 for p, q in zip(P.values, Q.values))
+        exact = mpmath.log(mpmath.fsum(terms)) / 2
+    assert abs(renyi_divergence(3, h, (P, Q)) - exact) <= 1e-12
+    assert renyi_divergence(3, h) == INF  # no pair: a bound stays +inf
+
+
+def test_renyi_divergence_requires_absolute_continuity():
+    P = validate_distribution([0.5, 0.5])
+    Q = validate_distribution([1.0, 0.0])
+    with pytest.raises(NotAbsolutelyContinuous):
+        renyi_divergence(2, INF, (P, Q))
 
 
 def test_measure_pair(pair):

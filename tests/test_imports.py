@@ -1,7 +1,10 @@
-"""Import contract: the scalar layer starts without numpy or mpmath.
+"""Import contract: the scalar layer starts without numpy or mpmath, and
+the package's records load no ``dataclasses`` (nor the ``inspect`` that it
+pulls in).
 
 Each check runs in a fresh interpreter, since this test process has long
-since imported both.
+since imported all of them.  numpy imports ``inspect`` itself, so the
+commands that load numpy are checked for numpy and mpmath only.
 """
 
 import os
@@ -13,16 +16,18 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-LOADED = "print(sorted(m for m in ('numpy', 'mpmath') if m in sys.modules))\n"
+ARRAYS = ("numpy", "mpmath")
+HEAVY = ARRAYS + ("dataclasses", "inspect")
 
 
-def loaded_after(code: str) -> str:
+def loaded_after(code: str, modules=HEAVY) -> str:
     """Run code in a fresh interpreter on this checkout's sources; return
-    which of numpy and mpmath it loaded, as the printed list."""
+    which of ``modules`` it loaded, as the printed sorted list."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    loaded = f"print(sorted(m for m in {modules!r} if m in sys.modules))\n"
     out = subprocess.run(
-        [sys.executable, "-c", "import sys\n" + code + LOADED],
+        [sys.executable, "-c", "import sys\n" + code + loaded],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert out.returncode == 0, out.stderr
@@ -82,4 +87,4 @@ def test_unknown_names_still_raise():
 def test_fuzz_loads_numpy_but_not_mpmath():
     argv = ("fuzz", "--div", "kl", "--delta", "0.25", "--m", "0.5", "--M", "2",
             "--trials", "50")
-    assert loaded_after(cli_code(*argv)) == "['numpy']"
+    assert loaded_after(cli_code(*argv), ARRAYS) == "['numpy']"
