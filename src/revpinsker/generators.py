@@ -69,11 +69,15 @@ class Generator(Record):
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         """Evaluate f elementwise on an array with t >= 0; entries with
-        t == 0 give the stored limit, and ``fn`` is not called on them."""
+        t == 0 give the stored limit, and ``fn`` is not called on them.  An
+        array with no zero entry goes to ``fn`` as it is, which must not
+        write to it; the result is a float array."""
         import numpy as np
 
         t = np.asarray(t, dtype=float)
         zero = t == 0.0  # not t > 0: a NaN entry stays NaN
+        if not np.count_nonzero(zero):
+            return np.asarray(self.fn(t), dtype=float)
         return np.where(zero, self.f_at_zero, self.fn(np.where(zero, 1.0, t)))
 
 
@@ -135,6 +139,26 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _hellinger_fn(alpha: float) -> Callable:
+    """(t^alpha - 1)/(alpha - 1) on a float or an array.  For alpha > 1 a
+    float power that overflows raises (``__call__`` reads +inf), and the
+    array branch lets it give inf without numpy's overflow warning; it keeps
+    the invalid and divide warnings.  For alpha < 1 t^alpha <= max(t, 1)
+    cannot overflow, so one expression serves both."""
+    if alpha < 1.0:
+        return lambda t: (t**alpha - 1.0) / (alpha - 1.0)
+
+    def fn(t):
+        if isinstance(t, float):
+            return (t**alpha - 1.0) / (alpha - 1.0)
+        import numpy as np
+
+        with np.errstate(over="ignore"):
+            return (t**alpha - 1.0) / (alpha - 1.0)
+
+    return fn
+
+
 @functools.lru_cache(maxsize=64)
 def hellinger_generator(alpha: float) -> Generator:
     """f(t) = (t^alpha - 1)/(alpha - 1) for alpha in (0,1) or (1,inf).
@@ -145,7 +169,7 @@ def hellinger_generator(alpha: float) -> Generator:
     alpha = check_alpha(alpha)
     return Generator(
         name=f"hellinger:{alpha:g}",
-        fn=lambda t: (t**alpha - 1.0) / (alpha - 1.0),
+        fn=_hellinger_fn(alpha),
         f_at_zero=1.0 / (1.0 - alpha),
         slope_at_infinity=math.inf if alpha > 1.0 else 0.0,
         mp_fn=lambda t: (t**alpha - 1) / (alpha - 1),

@@ -20,8 +20,15 @@ name, grown to the largest size asked and reused across chunks and calls,
 so a call no longer frees its working memory for the next one to fault
 back in.  Only the returned p and q are fresh arrays, owned by the caller;
 threads never share a buffer.  The arena keeps what its largest chunk
-needed: 0.87 MB per thread after a 2 000-row chunk at n = 6, and 18.0 MB
-after a 20 000-row chunk at n = 12 (the sum of its buffers, measured).
+needed, every transfer step's uniforms included: 1.01 MB per thread after
+a 2 000-row chunk at n = 6, and 20.8 MB after a 20 000-row chunk at n = 12
+(the sum of its buffers, measured at delta = 0.25, m = 0.5, M = 2).
+
+The per-call set-up reads the extremal pair's (at most three) atoms in
+plain Python and makes one array of each table: the parents' masses,
+``parent_of`` and the two bands' membership by atom code.  A sampled
+batch has every q > 0 unless a weight underflows, so ``batch_f_divergence``
+takes its sum without masks.
 
 ``search_sup`` seeds its best with the extremal pair, which attains the
 bound, and samples in chunks of 20 000 rows; its history holds one
@@ -205,20 +212,25 @@ def _sample_batch(
     if n < 3:
         raise InvalidParams("need support size n >= 3")
     s = _scratch
-    active = np.flatnonzero(base.Q.weights > 0)
-    k0 = active.size
-    parent_p = base.P.weights[active]
-    parent_q = base.Q.weights[active]
+    # the parents are base's atoms with Q mass; an atom's index in base is
+    # its side of 1: 0 below, 1 above, 2 at ratio 1.  k0 <= 3, so the tables
+    # below are built in plain Python and each becomes one array.
+    base_p, base_q = base.P.values, base.Q.values
+    active = [j for j, w in enumerate(base_q) if w > 0.0]
+    k0 = len(active)
+    parent_p = np.array([base_p[j] for j in active])
+    parent_q = np.array([base_q[j] for j in active])
 
     # each atom gets a code: 2j or 2j + 1 for a free atom of parent j, and
     # 2 k0 + j for parent j's anchor.  A free atom's band is its parent's
     # side of 1, or code & 1 when the parent has ratio 1; drawing that side
     # once keeps transfers from flipping an atom across 1, which would change
-    # |p - q|.  Anchors are on no band (-1) and never move.
-    parent_of = np.concatenate([np.arange(k0).repeat(2), np.arange(k0)])
-    side = active[parent_of]  # 0 below 1, 1 above 1, 2 at ratio 1
-    band_of = np.where(side == 2, np.arange(3 * k0) & 1, side)
-    band_of[2 * k0:] = -1
+    # |p - q|.  Anchors are on no band and never move.
+    free = range(2 * k0)
+    band_of = [c & 1 if active[c >> 1] == 2 else active[c >> 1] for c in free]
+    parent_of = np.array([c >> 1 for c in free] + list(range(k0)), dtype=np.intp)
+    anchors = [False] * k0
+    band_tables = [np.array([b == k for b in band_of] + anchors) for k in (0, 1)]
     code = s.get("code", (trials, n), np.intp)
     code[:, :k0] = np.arange(2 * k0, 3 * k0)
     code[:, k0:] = rng.integers(0, 2 * k0, size=(trials, n - k0))
@@ -237,7 +249,7 @@ def _sample_batch(
 
     # the low band's runs, then the high band's, one run per row and band
     in_band = s.get("in_band", (trials, n), bool)
-    runs = [np.flatnonzero((band_of == k).take(code, out=in_band, mode="clip")) for k in (0, 1)]
+    runs = [np.flatnonzero(table.take(code, out=in_band, mode="clip")) for table in band_tables]
     n_low = runs[0].size
     members = np.concatenate(runs, out=s.get("members", (n_low + runs[1].size,), np.intp))
     # row of each member, the high band's shifted by trials: one bincount
@@ -262,14 +274,15 @@ def _sample_batch(
     ceil_q[n_low:] *= params.M
 
     pf = p.reshape(-1)
-    u = s.get("u", (3, size))
+    # every step's uniforms in one draw: the same stream as one (3, size)
+    # draw per step
+    uniforms = rng.random(out=s.get("u", (steps, 3, size)))
     d, r, donor, recipient = (s.get(name, (size,), np.intp)
                               for name in ("d", "r", "donor", "recipient"))
     p_donor, p_recipient, give, take, eps = (
         s.get(name, (size,)) for name in ("p_donor", "p_recipient", "give", "take", "eps"))
     r_skips = s.get("r_skips", (size,), bool)
-    for _ in range(steps):
-        rng.random(out=u)
+    for u in uniforms:
         # u < 1, so floor(u * count) < count for these small counts; eps
         # holds the scaled draws until the move is computed
         np.copyto(d, np.multiply(u[0], count, out=eps), casting="unsafe")

@@ -391,7 +391,7 @@ class TestRenyi:
     OVERFLOW_CLASS = ("--delta", "0.1", "--m", "0.5", "--M", "1e300")
     OVERFLOW_RENYI = 689.62423535171668
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_verify_finite_past_hellinger_overflow(self, capsys):
         code, rec = main_record(capsys, "verify", "--div", "renyi:3",
                                 *self.OVERFLOW_PAIR, *self.OVERFLOW_CLASS)
@@ -402,14 +402,30 @@ class TestRenyi:
         assert bound == pytest.approx(self.OVERFLOW_RENYI, rel=0, abs=1e-12)
         assert res["gap.renyi:3"] == bound - value
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_verify_past_hellinger_overflow_warns_nothing(self):
+        # the Hellinger power overflows to the inf that the Renyi rule reads;
+        # the process prints the same record as before, and no warning
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", *CLI[1:], "verify",
+             "--div", "renyi:3", *self.OVERFLOW_PAIR, *self.OVERFLOW_CLASS],
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0 and result.stderr == ""
+        assert result.stdout == (
+            '{"command": "verify", "inputs": {"p": "0.1,0.1,0.8", "q": "0.2,1e-301,0.8", '
+            '"delta": 0.1, "m": 0.5, "M": 1e+300, "tol": 1e-09}, "results": '
+            '{"measured_delta": 0.1, "measured_m": 0.5, "measured_M": 1e+300, '
+            '"deviation_delta": 0.0, "deviation_m": 0.0, "deviation_M": 0.0, '
+            '"divergence.renyi:3": 689.6242353517166, "bound.renyi:3": 689.6242353517168, '
+            '"gap.renyi:3": 2.2737367544323206e-13}, "status": "pass"}\n')
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_finite_past_hellinger_overflow(self, capsys):
         code, rec = main_record(capsys, "divergence", "--div", "renyi:3", *self.OVERFLOW_PAIR)
         assert code == 0
         value = rec["results"]["divergence"]
         assert value == pytest.approx(self.OVERFLOW_RENYI, rel=0, abs=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_fuzz_finite_past_hellinger_overflow(self, capsys):
         code, rec = main_record(capsys, "fuzz", "--div", "renyi:3", *self.OVERFLOW_CLASS,
                                 "--trials", "200")

@@ -101,6 +101,73 @@ def test_unequal_lengths_raise_length_mismatch():
         batch_f_divergence(kl_generator(), P.weights[None], Q.weights[None])
 
 
+def _masked_batch_f_divergence(gen, p, q):
+    """The masked D_f sum, with ``Generator.evaluate``'s f(0+) rule written
+    out: every q = 0 atom's ratio is set to 1 and its term to 0."""
+    support = q > 0
+    if (p[~support] > 0).any():
+        raise NotAbsolutelyContinuous("P has mass where Q has none")
+    ratios = np.divide(p, q, out=np.ones_like(p), where=support)
+    zero = ratios == 0.0
+    f = np.where(zero, gen.f_at_zero, gen.fn(np.where(zero, 1.0, ratios)))
+    return np.where(support, q * f, 0.0).sum(axis=1)
+
+
+def _sqrt_hellinger(t):
+    """(sqrt t - 1)^2, through math.sqrt, so it takes no arrays."""
+    s = math.sqrt(t) - 1.0
+    return s * s
+
+
+BATCH_GENERATORS = (kl_generator(), tv_generator(), chi2_generator(),
+                    hellinger_generator(0.5), hellinger_generator(3),
+                    custom_generator(_sqrt_hellinger, f_at_zero=1.0, slope_at_infinity=1.0))
+
+_positive = st.one_of(st.floats(5e-324, 1.0), st.floats(1.0, 1e300))
+_weight = st.one_of(st.just(0.0), _positive)
+
+
+@st.composite
+def _batches(draw):
+    """(p, q) of one shape, with p = 0 atoms and, in some batches, q = 0
+    atoms, each of them under a p = 0 atom or under mass."""
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    p = np.array(draw(st.lists(_weight, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
+    q = np.array(draw(st.lists(_positive, min_size=rows * n,
+                               max_size=rows * n))).reshape(rows, n)
+    if draw(st.booleans()):
+        zeros = np.array(draw(st.lists(st.booleans(), min_size=rows * n,
+                                       max_size=rows * n))).reshape(rows, n)
+        q[zeros] = 0.0
+        if draw(st.booleans()):
+            p[zeros] = 0.0
+    return p, q
+
+
+@given(st.sampled_from(BATCH_GENERATORS), _batches())
+@settings(max_examples=300, deadline=None)
+def test_batch_is_the_masked_sum_bit_for_bit(gen, batch):
+    p, q = batch
+    with np.errstate(all="ignore"):
+        try:
+            expected = _masked_batch_f_divergence(gen, p, q)
+        except NotAbsolutelyContinuous:
+            with pytest.raises(NotAbsolutelyContinuous):
+                batch_f_divergence(gen, p, q)
+            return
+        got = batch_f_divergence(gen, p, q)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("gen", BATCH_GENERATORS, ids=lambda g: g.name)
+def test_batch_checks_shapes_before_the_support(gen):
+    with pytest.raises(LengthMismatch):
+        batch_f_divergence(gen, np.full((2, 3), 0.5), np.full((2, 2), 0.5))
+    with pytest.raises(LengthMismatch):
+        batch_f_divergence(gen, np.full((2, 3), 0.5), np.zeros((3, 2)))
+
+
 def test_chi2_closed_form(pair):
     P, Q = pair
     direct = sum(
