@@ -16,18 +16,26 @@ it covers ``theorem1_bound``, ``corollary1_bound``, ``vajda_bound``,
 ``renyi_bound``, ``kl_bound_ab``, the extremal pair (weights, q, p, t and
 D_f), ``verify_membership`` of that pair, ``theorem1_bound`` for KL on the
 pair's measured class and ``falsify_feasibility``; per
-generator, ``search_unconstrained_sup`` at four total variations.  Runs in
-process and is deterministic.
+generator, ``search_unconstrained_sup`` at four total variations.  The
+oracle's hot path is covered at a few classes, per (n, trials) of
+``SAMPLE_SHAPES`` (rows <= n, rows > n, and n >= 8): the p and q of a
+seeded ``_sample_batch``, ``batch_f_divergence`` of its rows for each
+generator, and each generator's ``search_sup`` outcome (best value and
+pair, bound, gap, violations and history).  Runs in process and is
+deterministic.
 """
 
 import argparse
 import math
 import warnings
 
+import numpy as np
+
 from revpinsker import (
     ClassParams,
     Distribution,
     SearchConfig,
+    batch_f_divergence,
     chi2_generator,
     corollary1_bound,
     f_divergence,
@@ -37,6 +45,7 @@ from revpinsker import (
     kl_generator,
     measure_pair,
     renyi_bound,
+    search_sup,
     search_unconstrained_sup,
     ternary_extremal,
     theorem1_bound,
@@ -46,6 +55,7 @@ from revpinsker import (
     verify_membership,
 )
 from revpinsker.errors import RevPinskerError
+from revpinsker.oracle import PERTURBATION_STEPS, _sample_batch
 
 M_LOW = (0.0, 1e-300, 1e-15, 1e-8, 0.1, 0.396, 0.5, 0.9, 1 - 1e-8, 1 - 1e-15, 1.0)
 M_HIGH = (1.0, 1 + 1e-15, 1 + 1e-8, 1.1, 2.0, 5.0, 79.856, 1e8, 1e15, 1e100, 1e300, math.inf)
@@ -56,6 +66,13 @@ EXTRA_CLASSES = ((1e-7, 1.0, 1.0), (2e-6, 1.0, 1.0), (0.5, 1.0, 1.0),
                  (0.1, 1.0, 2.0), (0.1, 0.5, 1.0), (0.9, 0.5, 2.0))
 SWEEP_DELTAS = (0.0, 0.05, 0.3, 0.9)
 FEASIBILITY_CONFIG = SearchConfig(trials=200, seed=0)
+#: classes the oracle samples and searches: k0 = 3 parents, one at m = 0,
+#: two at the cap and one at delta = 0
+SAMPLE_CLASSES = ((0.25, 0.5, 2.0), (0.05, 0.1, 100.0), (0.4, 0.0, 5.0),
+                  (tv_cap(0.5, 2.0), 0.5, 2.0), (0.0, 1.0, 1.0))
+#: (n, trials) of the sampled batches and searches
+SAMPLE_SHAPES = ((3, 2), (6, 7), (12, 13), (12, 40))
+SAMPLE_SEED = 1
 REPORT_FIELDS = ("measured_delta", "measured_m", "measured_M", "deviation_delta",
                  "deviation_m", "deviation_M", "passed", "divergences", "bounds", "gaps")
 
@@ -110,6 +127,23 @@ def dump_class(gens, delta: float, m: float, M: float) -> None:
          lambda: theorem1_bound(kl_generator(), ClassParams(*measured)))
 
 
+def dump_oracle(gens, delta: float, m: float, M: float) -> None:
+    params = ClassParams(delta, m, M)
+    base = ternary_extremal(params)
+    for n, trials in SAMPLE_SHAPES:
+        args = (delta, m, M, n, trials)
+        rng = np.random.default_rng(SAMPLE_SEED)
+        p, q = _sample_batch(params, base, n, trials, rng, PERTURBATION_STEPS)
+        emit("_sample_batch.p", args, lambda: p.ravel().tolist())
+        emit("_sample_batch.q", args, lambda: q.ravel().tolist())
+        config = SearchConfig(n, trials, SAMPLE_SEED)
+        for gen in gens:
+            emit("batch_f_divergence", (gen.name,) + args,
+                 lambda: batch_f_divergence(gen, p, q).tolist())
+            emit("search_sup", (gen.name,) + args,
+                 lambda: vars(search_sup(gen, params, config)))
+
+
 def main(argv: list[str] | None = None) -> int:
     argparse.ArgumentParser(description=__doc__).parse_args(argv)
     gens = [kl_generator(), tv_generator(), chi2_generator()]
@@ -130,6 +164,8 @@ def main(argv: list[str] | None = None) -> int:
             for delta in SWEEP_DELTAS:
                 emit("search_unconstrained_sup", (gen.name, delta),
                      lambda: vars(search_unconstrained_sup(gen, delta)))
+        for delta, m, M in SAMPLE_CLASSES:
+            dump_oracle(gens, delta, m, M)
     return 0
 
 

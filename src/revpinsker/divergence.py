@@ -2,7 +2,10 @@
 
 D_f is one sum, :func:`batch_f_divergence`, which checks its rows first;
 :func:`f_divergence` is that sum for one row.  A batch with every q > 0,
-as the oracle's sampled batches have, takes the sum without masks.  Both
+as the oracle's sampled batches have, takes the sum without masks, and
+when it has more rows than columns adds the terms a column at a time
+(:func:`_row_sums`), in the order of numpy's pairwise row sum, so the
+values are ``ndarray.sum(axis=1)``'s without its fixed cost per row.  Both
 load numpy on first use; ``measure_pair``, ``renyi_from_hellinger`` and
 ``renyi_divergence`` are plain ``math``."""
 
@@ -45,6 +48,13 @@ def batch_f_divergence(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarr
     ``Generator.evaluate`` takes the product with q in place.  Otherwise a
     q_i = 0 term reads ratio 1 and is masked to 0.  Both give the same bits
     on a batch with every q_i > 0.
+
+    The rows of the unmasked path are summed by ``_row_sums`` when the
+    batch has more rows than columns: numpy runs down the rows, one column
+    at a time, in the order ``ndarray.sum(axis=1)`` takes along a row, so
+    the sums are the same bits.  A batch with no more rows than columns,
+    such as ``f_divergence``'s one row, and the masked path keep
+    ``ndarray.sum``.
     """
     import numpy as np
 
@@ -59,11 +69,49 @@ def batch_f_divergence(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarr
         # product goes in place
         terms = gen.evaluate(p / q)
         terms *= q
-        return terms.sum(axis=1)
+        # ndarray.sum runs along each short row at a fixed cost per row
+        return _row_sums(terms) if len(terms) > terms.shape[1] else terms.sum(axis=1)
     if (p[~support] > 0).any():
         raise NotAbsolutelyContinuous("P has mass where Q has none")
     ratios = np.divide(p, q, out=np.ones_like(p), where=support)
     return np.where(support, q * gen.evaluate(ratios), 0.0).sum(axis=1)
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """``terms.sum(axis=1)`` of a 2-D array, computed down the rows a column
+    at a time.
+
+    ndarray.sum runs its inner loop along each row and pays a fixed cost
+    per row; here numpy runs down the rows and Python loops over the
+    columns.  The float operations and their order are numpy's pairwise
+    sum of each row: below 8 columns a running sum; from 8 to 128 columns
+    eight lanes, lane j adding columns j, j + 8, ..., combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remaining columns one at
+    a time; above 128 columns the sums of two halves, split at n/2 rounded
+    down to a multiple of 8.  The reduction starts from +0.0, so a row of
+    -0.0 sums to +0.0.  The sums equal numpy 2.4's bit for bit, except
+    that a NaN's sign may differ: numpy's order of NaN operands is not
+    pinned (``tests/test_divergence.py`` pins the rest).
+    """
+    import numpy as np
+
+    cols = terms.T
+    n = len(cols)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sums(cols[:half].T) + _row_sums(cols[half:].T)
+    total = np.zeros(len(terms))
+    if n >= 8:
+        lanes = cols[:8].copy()
+        for i in range(8, n - n % 8, 8):
+            lanes += cols[i:i + 8]
+        lanes[::2] += lanes[1::2]
+        lanes[::4] += lanes[2::4]
+        total += lanes[0] + lanes[4]
+        cols = cols[n - n % 8:]
+    for col in cols:
+        total += col
+    return total
 
 
 def renyi_from_hellinger(alpha: float, h: float) -> float:

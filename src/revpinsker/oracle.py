@@ -25,10 +25,15 @@ a 2 000-row chunk at n = 6, and 20.8 MB after a 20 000-row chunk at n = 12
 (the sum of its buffers, measured at delta = 0.25, m = 0.5, M = 2).
 
 The per-call set-up reads the extremal pair's (at most three) atoms in
-plain Python and makes one array of each table: the parents' masses,
-``parent_of`` and the two bands' membership by atom code.  A sampled
-batch has every q > 0 unless a weight underflows, so ``batch_f_divergence``
-takes its sum without masks.
+plain Python and makes one array of each table: ``parent_of`` and the two
+bands' membership by atom code.  The (trials, n) and (trials, k0) arrays
+are then written a column at a time, numpy running down the rows: the
+anchors' codes, the free atoms' drawn codes and each parent's share
+mass / sums, with the parent's mass as a Python float.  A 2-D assignment
+or broadcast divide would run its inner loop along the rows, 2 to 12
+items long, and pay a fixed cost per row.  A sampled batch has every q > 0
+unless a weight underflows, so ``batch_f_divergence`` takes its sum
+without masks, a column at a time as well.
 
 ``search_sup`` seeds its best with the extremal pair, which attains the
 bound, and samples in chunks of 20 000 rows; its history holds one
@@ -49,12 +54,13 @@ The arena imports it only when a buffer grows.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from typing import TYPE_CHECKING
 
 from .bounds import INF, ClassParams, bound_gap, feasible, theorem1_bound, tv_cap, vajda_bound
 from .distributions import Distribution, validate_distribution
-from .divergence import batch_f_divergence, f_divergence
+from .divergence import _row_sums, batch_f_divergence, f_divergence
 from .errors import InvalidParams, Record
 from .extremal import ExtremalPair, ternary_extremal, verify_membership
 from .generators import Generator
@@ -85,17 +91,37 @@ _CHUNK_ROWS = 20_000
 _MP_SWEEP_EXPONENTS = (16, 32, 64, 128, 256, 1_000, 10_000, 100_000, 1_000_000, 10_000_000)
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; a bool or a value that is not an integer raises
+    InvalidParams."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParams(f"{name} must be an integer, not {value!r}")
+
+
 class SearchConfig(Record):
     """What a search samples: pairs on ``support_size`` atoms, ``trials`` of
-    them, drawn from ``seed``; identical configs give identical runs."""
+    them, drawn from ``seed``; identical configs give identical runs.
+
+    Each field is an integer and not a bool: ``support_size`` in [3, 12],
+    ``trials`` >= 1 and ``seed`` >= 0.  Anything else raises InvalidParams.
+    """
 
     __slots__ = _fields = ("support_size", "trials", "seed")
 
     def __init__(self, support_size: int = 6, trials: int = 1000, seed: int = 0):
+        support_size = _integer("support_size", support_size)
+        trials = _integer("trials", trials)
+        seed = _integer("seed", seed)
         if not (3 <= support_size <= 12):
             raise InvalidParams("support_size must be in [3, 12]")
         if trials < 1:
             raise InvalidParams("trials must be positive")
+        if seed < 0:
+            raise InvalidParams("seed must be >= 0")
         object.__setattr__(self, "support_size", support_size)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "seed", seed)
@@ -218,8 +244,6 @@ def _sample_batch(
     base_p, base_q = base.P.values, base.Q.values
     active = [j for j, w in enumerate(base_q) if w > 0.0]
     k0 = len(active)
-    parent_p = np.array([base_p[j] for j in active])
-    parent_q = np.array([base_q[j] for j in active])
 
     # each atom gets a code: 2j or 2j + 1 for a free atom of parent j, and
     # 2 k0 + j for parent j's anchor.  A free atom's band is its parent's
@@ -231,9 +255,13 @@ def _sample_batch(
     parent_of = np.array([c >> 1 for c in free] + list(range(k0)), dtype=np.intp)
     anchors = [False] * k0
     band_tables = [np.array([b == k for b in band_of] + anchors) for k in (0, 1)]
+    # code and share are written a column at a time (see the module docstring)
     code = s.get("code", (trials, n), np.intp)
-    code[:, :k0] = np.arange(2 * k0, 3 * k0)
-    code[:, k0:] = rng.integers(0, 2 * k0, size=(trials, n - k0))
+    for j in range(k0):
+        code[:, j] = 2 * k0 + j
+    draws = rng.integers(0, 2 * k0, size=(trials, n - k0))
+    for j, col in enumerate(draws.T, k0):
+        code[:, j] = col
 
     e = rng.standard_exponential(out=s.get("e", (trials, n)))
     cell = parent_of.take(code, out=s.get("cell", (trials, n), np.intp), mode="clip")
@@ -242,10 +270,16 @@ def _sample_batch(
     sums = np.bincount(cell.ravel(), weights=e.ravel(), minlength=k0 * trials)
     sums = sums.reshape(trials, k0)
     share = s.get("share", (trials, k0))
-    p = np.divide(parent_p, sums, out=share).take(cell, mode="clip")
-    p *= e
-    q = np.divide(parent_q, sums, out=share).take(cell, mode="clip")
-    q *= e
+
+    def spread(base_x):
+        # each atom's share e / sums[cell] of its parent's mass in base_x
+        for j, parent in enumerate(active):
+            np.divide(base_x[parent], sums[:, j], out=share[:, j])
+        x = share.take(cell, mode="clip")
+        x *= e
+        return x
+
+    p, q = spread(base_p), spread(base_q)
 
     # the low band's runs, then the high band's, one run per row and band
     in_band = s.get("in_band", (trials, n), bool)
@@ -436,8 +470,8 @@ def _search_for_member(params: ClassParams, config: SearchConfig) -> bool:
     rng = np.random.default_rng(config.seed)
     count = max(config.trials, 2000)
     e = rng.gamma(1.0, size=(count, 3))
-    qw = e / e.sum(axis=1, keepdims=True)
-    q1, q2, q3 = qw[:, 0], qw[:, 1], qw[:, 2]
+    total = _row_sums(e)
+    q1, q2, q3 = (col / total for col in e.T)
     r3 = (1.0 - m * q1 - M * q2) / q3
     ok = (r3 >= m - 1e-12) & (r3 <= M + 1e-12)
     gaps = [abs(tv_cap(m, M) - delta)]  # the t = 1 boundary pair is always reachable

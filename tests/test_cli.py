@@ -263,6 +263,14 @@ class TestFuzz:
         assert result.returncode == 2
         assert result.stdout == ""
 
+    def test_negative_seed_exit_2(self):
+        # exit 1 is kept for a bound violation
+        result = run("fuzz", "--div", "kl", "--delta", "0.1", "--m", "0.25",
+                     "--M", "2", "--seed", "-1")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: seed must be >= 0\n"
+
 
 class TestFormats:
     def test_csv_format_same_values(self):

@@ -20,6 +20,7 @@ from revpinsker import (
     tv_generator,
     validate_distribution,
 )
+from revpinsker.divergence import _row_sums
 from revpinsker.errors import InvalidAlpha, LengthMismatch, LogDomain, NotAbsolutelyContinuous
 
 
@@ -130,14 +131,22 @@ _weight = st.one_of(st.just(0.0), _positive)
 @st.composite
 def _batches(draw):
     """(p, q) of one shape, with p = 0 atoms and, in some batches, q = 0
-    atoms, each of them under a p = 0 atom or under mass."""
-    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
-    p = np.array(draw(st.lists(_weight, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
-    q = np.array(draw(st.lists(_positive, min_size=rows * n,
-                               max_size=rows * n))).reshape(rows, n)
+    atoms, each of them under a p = 0 atom or under mass.
+
+    Up to 40 rows and 20 columns, with rows = n and n + 1 drawn often, so
+    the unmasked sum is taken both by ndarray.sum (rows <= n) and by
+    ``_row_sums`` below and above 8 columns.  The weights are drawn from a
+    pool that hypothesis picks, placed by a seeded generator, which keeps
+    a 40 x 20 batch within hypothesis's data budget."""
+    n = draw(st.integers(1, 20))
+    rows = draw(st.one_of(st.integers(1, 40), st.sampled_from((n, n + 1))))
+    p_pool = draw(st.lists(_weight, min_size=1, max_size=12))
+    q_pool = draw(st.lists(_positive, min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.choice(p_pool, size=(rows, n))
+    q = rng.choice(q_pool, size=(rows, n))
     if draw(st.booleans()):
-        zeros = np.array(draw(st.lists(st.booleans(), min_size=rows * n,
-                                       max_size=rows * n))).reshape(rows, n)
+        zeros = rng.random((rows, n)) < draw(st.floats(0.0, 1.0))
         q[zeros] = 0.0
         if draw(st.booleans()):
             p[zeros] = 0.0
@@ -158,6 +167,49 @@ def test_batch_is_the_masked_sum_bit_for_bit(gen, batch):
         got = batch_f_divergence(gen, p, q)
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+def _special_rows(rng, rows, n):
+    """rows x n terms: normals scaled by 1e-3 to 1e3, so that the order of
+    the additions shows in the last bits, with terms from 1e-300 to 1e300
+    and special values sprinkled; led by (as far as there are rows) one row
+    each of -0.0, mixed zeros, +inf, -inf, inf - inf, NaN, subnormals and
+    terms that overflow when added."""
+    terms = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-3, 4, (rows, n))
+    wide = rng.random((rows, n)) < 0.05
+    terms[wide] *= 10.0 ** rng.integers(-297, 298, wide.sum())
+    specials = (-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308)
+    mask = rng.random((rows, n)) < 0.05
+    terms[mask] = rng.choice(specials, size=mask.sum())
+    normal = rng.standard_normal(n)
+    lead = (
+        np.full(n, -0.0),
+        rng.choice((0.0, -0.0), size=n),
+        np.r_[normal[1:], math.inf],
+        np.r_[-math.inf, normal[1:]],
+        np.resize((math.inf, -math.inf), n),
+        np.where(np.arange(n) == n // 2, math.nan, normal),
+        5e-324 * rng.integers(-1000, 1001, n),
+        np.full(n, 1e308),
+    )[:rows]
+    terms[:len(lead)] = lead
+    return terms
+
+
+@pytest.mark.parametrize("n", [*range(1, 21), 127, 128, 129, 300])
+def test_row_sums_is_ndarray_sum(n):
+    """``_row_sums`` takes numpy's pairwise order for rows: running sums
+    below 8 columns, 8 lanes to 128, halves above.  It pins that order as
+    this numpy (2.4) runs it.  float.hex is compared, so a NaN's sign,
+    which numpy does not fix, is not."""
+    rng = np.random.default_rng(n)
+    for rows in (n + 1, 2000):
+        terms = _special_rows(rng, rows, n)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = terms.sum(axis=1)
+            got = _row_sums(terms)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert list(map(float.hex, got.tolist())) == list(map(float.hex, expected.tolist()))
 
 
 @pytest.mark.parametrize("gen", BATCH_GENERATORS, ids=lambda g: g.name)

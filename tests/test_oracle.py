@@ -144,6 +144,20 @@ class TestSearchConfig:
     def test_support_size_limits_accepted(self, n):
         assert SearchConfig(support_size=n).support_size == n
 
+    @pytest.mark.parametrize("field, value", [
+        ("support_size", 6.5), ("support_size", "6"),
+        ("trials", 2.5), ("trials", True), ("trials", None),
+        ("seed", 1.5), ("seed", -1), ("seed", False),
+    ])
+    def test_field_not_a_valid_integer(self, field, value):
+        with pytest.raises(InvalidParams, match=field):
+            SearchConfig(**{field: value})
+
+    def test_integer_like_fields_become_ints(self):
+        config = SearchConfig(np.int64(4), np.int32(10), np.uint8(3))
+        assert [type(v) for v in (config.support_size, config.trials, config.seed)] == [int] * 3
+        assert config == SearchConfig(4, 10, 3)
+
 
 class TestSearchSup:
     def test_kl_attains_bound(self):
