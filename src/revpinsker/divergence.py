@@ -3,11 +3,11 @@
 D_f is one sum, :func:`batch_f_divergence`, which checks its rows first;
 :func:`f_divergence` is that sum for one row.  A batch with every q > 0,
 as the oracle's sampled batches have, takes the sum without masks, and
-when it has more rows than columns adds the terms a column at a time
-(:func:`_row_sums`), in the order of numpy's pairwise row sum, so the
-values are ``ndarray.sum(axis=1)``'s without its fixed cost per row.  Both
-load numpy on first use; ``measure_pair``, ``renyi_from_hellinger`` and
-``renyi_divergence`` are plain ``math``."""
+when it has fewer than 8 columns and at least 256 rows adds the terms a
+column at a time (:func:`_row_sums`), the order ``ndarray.sum(axis=1)``
+takes there, so the values are its own without its fixed cost per row.
+Both load numpy on first use; ``measure_pair``, ``renyi_from_hellinger``
+and ``renyi_divergence`` are plain ``math``."""
 
 from __future__ import annotations
 
@@ -50,11 +50,12 @@ def batch_f_divergence(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarr
     on a batch with every q_i > 0.
 
     The rows of the unmasked path are summed by ``_row_sums`` when the
-    batch has more rows than columns: numpy runs down the rows, one column
-    at a time, in the order ``ndarray.sum(axis=1)`` takes along a row, so
-    the sums are the same bits.  A batch with no more rows than columns,
-    such as ``f_divergence``'s one row, and the masked path keep
-    ``ndarray.sum``.
+    batch has fewer than 8 columns and at least 256 rows, as the oracle's
+    sampled batches of up to 7 atoms have: numpy runs down the rows, one
+    column at a time, which is the order ``ndarray.sum(axis=1)`` takes
+    below 8 columns in any memory layout, so the sums are the same bits.
+    Any other batch, such as ``f_divergence``'s one row, and the masked
+    path keep ``ndarray.sum``.
     """
     import numpy as np
 
@@ -69,8 +70,12 @@ def batch_f_divergence(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarr
         # product goes in place
         terms = gen.evaluate(p / q)
         terms *= q
-        # ndarray.sum runs along each short row at a fixed cost per row
-        return _row_sums(terms) if len(terms) > terms.shape[1] else terms.sum(axis=1)
+        # ndarray.sum runs along each short row at a fixed cost per row, which
+        # outweighs the column loop's from about 200 rows at n = 6; from 8
+        # columns its order along a C-ordered row is pairwise
+        if terms.shape[1] < 8 and len(terms) >= 256:
+            return _row_sums(terms)
+        return terms.sum(axis=1)
     if (p[~support] > 0).any():
         raise NotAbsolutelyContinuous("P has mass where Q has none")
     ratios = np.divide(p, q, out=np.ones_like(p), where=support)
@@ -78,38 +83,20 @@ def batch_f_divergence(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarr
 
 
 def _row_sums(terms: np.ndarray) -> np.ndarray:
-    """``terms.sum(axis=1)`` of a 2-D array, computed down the rows a column
-    at a time.
+    """``terms.sum(axis=1)`` of a 2-D array with fewer than 8 columns,
+    computed down the rows a column at a time.
 
     ndarray.sum runs its inner loop along each row and pays a fixed cost
     per row; here numpy runs down the rows and Python loops over the
-    columns.  The float operations and their order are numpy's pairwise
-    sum of each row: below 8 columns a running sum; from 8 to 128 columns
-    eight lanes, lane j adding columns j, j + 8, ..., combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remaining columns one at
-    a time; above 128 columns the sums of two halves, split at n/2 rounded
-    down to a multiple of 8.  The reduction starts from +0.0, so a row of
-    -0.0 sums to +0.0.  The sums equal numpy 2.4's bit for bit, except
-    that a NaN's sign may differ: numpy's order of NaN operands is not
-    pinned (``tests/test_divergence.py`` pins the rest).
+    columns.  Below 8 columns numpy's row sum is a running sum from +0.0
+    in every memory layout, so this is the same float operations in the
+    same order (a row of -0.0 sums to +0.0).  From 8 columns numpy sums a
+    C-ordered row pairwise, which this does not follow.
     """
     import numpy as np
 
-    cols = terms.T
-    n = len(cols)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _row_sums(cols[:half].T) + _row_sums(cols[half:].T)
     total = np.zeros(len(terms))
-    if n >= 8:
-        lanes = cols[:8].copy()
-        for i in range(8, n - n % 8, 8):
-            lanes += cols[i:i + 8]
-        lanes[::2] += lanes[1::2]
-        lanes[::4] += lanes[2::4]
-        total += lanes[0] + lanes[4]
-        cols = cols[n - n % 8:]
-    for col in cols:
+    for col in terms.T:
         total += col
     return total
 

@@ -33,7 +33,8 @@ mass / sums, with the parent's mass as a Python float.  A 2-D assignment
 or broadcast divide would run its inner loop along the rows, 2 to 12
 items long, and pay a fixed cost per row.  A sampled batch has every q > 0
 unless a weight underflows, so ``batch_f_divergence`` takes its sum
-without masks, a column at a time as well.
+without masks, and below 8 atoms and from 256 rows a column at a time
+as well.
 
 ``search_sup`` seeds its best with the extremal pair, which attains the
 bound, and samples in chunks of 20 000 rows; its history holds one
@@ -60,7 +61,7 @@ from typing import TYPE_CHECKING
 
 from .bounds import INF, ClassParams, bound_gap, feasible, theorem1_bound, tv_cap, vajda_bound
 from .distributions import Distribution, validate_distribution
-from .divergence import _row_sums, batch_f_divergence, f_divergence
+from .divergence import batch_f_divergence, f_divergence
 from .errors import InvalidParams, Record
 from .extremal import ExtremalPair, ternary_extremal, verify_membership
 from .generators import Generator
@@ -470,8 +471,8 @@ def _search_for_member(params: ClassParams, config: SearchConfig) -> bool:
     rng = np.random.default_rng(config.seed)
     count = max(config.trials, 2000)
     e = rng.gamma(1.0, size=(count, 3))
-    total = _row_sums(e)
-    q1, q2, q3 = (col / total for col in e.T)
+    qw = e / e.sum(axis=1, keepdims=True)
+    q1, q2, q3 = qw[:, 0], qw[:, 1], qw[:, 2]
     r3 = (1.0 - m * q1 - M * q2) / q3
     ok = (r3 >= m - 1e-12) & (r3 <= M + 1e-12)
     gaps = [abs(tv_cap(m, M) - delta)]  # the t = 1 boundary pair is always reachable

@@ -131,15 +131,16 @@ _weight = st.one_of(st.just(0.0), _positive)
 @st.composite
 def _batches(draw):
     """(p, q) of one shape, with p = 0 atoms and, in some batches, q = 0
-    atoms, each of them under a p = 0 atom or under mass.
+    atoms, each of them under a p = 0 atom or under mass, in C or Fortran
+    order.
 
-    Up to 40 rows and 20 columns, with rows = n and n + 1 drawn often, so
-    the unmasked sum is taken both by ndarray.sum (rows <= n) and by
-    ``_row_sums`` below and above 8 columns.  The weights are drawn from a
-    pool that hypothesis picks, placed by a seeded generator, which keeps
-    a 40 x 20 batch within hypothesis's data budget."""
+    Up to 40 rows and 20 columns, or 255 to 257 rows, so the unmasked sum
+    is taken both by ndarray.sum and, below 8 columns from 256 rows, by
+    ``_row_sums``.  The weights are drawn from a pool that hypothesis
+    picks, placed by a seeded generator, which keeps a 257 x 20 batch
+    within hypothesis's data budget."""
     n = draw(st.integers(1, 20))
-    rows = draw(st.one_of(st.integers(1, 40), st.sampled_from((n, n + 1))))
+    rows = draw(st.one_of(st.integers(1, 40), st.sampled_from((255, 256, 257))))
     p_pool = draw(st.lists(_weight, min_size=1, max_size=12))
     q_pool = draw(st.lists(_positive, min_size=1, max_size=12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -150,6 +151,8 @@ def _batches(draw):
         q[zeros] = 0.0
         if draw(st.booleans()):
             p[zeros] = 0.0
+    if draw(st.booleans()):
+        p, q = np.asfortranarray(p), np.asfortranarray(q)
     return p, q
 
 
@@ -196,19 +199,40 @@ def _special_rows(rng, rows, n):
     return terms
 
 
-@pytest.mark.parametrize("n", [*range(1, 21), 127, 128, 129, 300])
-def test_row_sums_is_ndarray_sum(n):
-    """``_row_sums`` takes numpy's pairwise order for rows: running sums
-    below 8 columns, 8 lanes to 128, halves above.  It pins that order as
-    this numpy (2.4) runs it.  float.hex is compared, so a NaN's sign,
-    which numpy does not fix, is not."""
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_row_sums_is_ndarray_sum(n, order):
+    """Below 8 columns ``_row_sums`` is ``ndarray.sum(axis=1)`` bit for bit
+    in either memory layout: this numpy (2.4) sums such a row as a running
+    sum from +0.0, and the test pins that order.  float.hex is compared,
+    so a NaN's sign, which numpy does not fix, is not."""
     rng = np.random.default_rng(n)
     for rows in (n + 1, 2000):
-        terms = _special_rows(rng, rows, n)
+        terms = np.asarray(_special_rows(rng, rows, n), order=order)
         with np.errstate(invalid="ignore", over="ignore"):
             expected = terms.sum(axis=1)
             got = _row_sums(terms)
         assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert list(map(float.hex, got.tolist())) == list(map(float.hex, expected.tolist()))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [*range(1, 21), 127, 128, 129, 300])
+def test_unmasked_batch_is_ndarray_sum_in_either_order(n, order):
+    """The unmasked D_f rows equal ``ndarray.sum(axis=1)`` of the terms in
+    the batch's own memory layout, on either side of the ``_row_sums``
+    gate: numpy sums a C-ordered row of 8 or more columns pairwise and a
+    Fortran-ordered one a column at a time, and the two differ in the
+    last bits."""
+    gen = kl_generator()
+    rng = np.random.default_rng(n)
+    for rows in (n + 1, 256, 2000):
+        p = np.asarray(rng.random((rows, n)) * 10.0 ** rng.integers(-3, 4, (rows, n)), order=order)
+        q = np.asarray(rng.random((rows, n)) + 1e-3, order=order)
+        terms = gen.evaluate(p / q)
+        terms *= q
+        expected = terms.sum(axis=1)
+        got = batch_f_divergence(gen, p, q)
         assert list(map(float.hex, got.tolist())) == list(map(float.hex, expected.tolist()))
 
 
