@@ -18,11 +18,12 @@ D_f), ``verify_membership`` of that pair, ``theorem1_bound`` for KL on the
 pair's measured class and ``falsify_feasibility``; per
 generator, ``search_unconstrained_sup`` at four total variations.  The
 oracle's hot path is covered at a few classes, per (n, trials) of
-``SAMPLE_SHAPES`` (rows <= n, rows > n, and n >= 8): the p and q of a
+``SAMPLE_SHAPES`` (rows <= n, rows > n, n >= 8, and 256 rows or more,
+which ``batch_f_divergence`` sums a column at a time): the p and q of a
 seeded ``_sample_batch``, ``batch_f_divergence`` of its rows for each
-generator, and each generator's ``search_sup`` outcome (best value and
-pair, bound, gap, violations and history).  Runs in process and is
-deterministic.
+generator, also with the last atom's p and q set to 0 (the q = 0 ratios),
+and each generator's ``search_sup`` outcome (best value and pair, bound,
+gap, violations and history).  Runs in process and is deterministic.
 """
 
 import argparse
@@ -71,7 +72,7 @@ FEASIBILITY_CONFIG = SearchConfig(trials=200, seed=0)
 SAMPLE_CLASSES = ((0.25, 0.5, 2.0), (0.05, 0.1, 100.0), (0.4, 0.0, 5.0),
                   (tv_cap(0.5, 2.0), 0.5, 2.0), (0.0, 1.0, 1.0))
 #: (n, trials) of the sampled batches and searches
-SAMPLE_SHAPES = ((3, 2), (6, 7), (12, 13), (12, 40))
+SAMPLE_SHAPES = ((3, 2), (6, 7), (12, 13), (12, 40), (6, 300))
 SAMPLE_SEED = 1
 REPORT_FIELDS = ("measured_delta", "measured_m", "measured_M", "deviation_delta",
                  "deviation_m", "deviation_M", "passed", "divergences", "bounds", "gaps")
@@ -136,10 +137,14 @@ def dump_oracle(gens, delta: float, m: float, M: float) -> None:
         p, q = _sample_batch(params, base, n, trials, rng, PERTURBATION_STEPS)
         emit("_sample_batch.p", args, lambda: p.ravel().tolist())
         emit("_sample_batch.q", args, lambda: q.ravel().tolist())
+        p0, q0 = p.copy(), q.copy()
+        p0[:, -1] = q0[:, -1] = 0.0
         config = SearchConfig(n, trials, SAMPLE_SEED)
         for gen in gens:
             emit("batch_f_divergence", (gen.name,) + args,
                  lambda: batch_f_divergence(gen, p, q).tolist())
+            emit("batch_f_divergence.zero_atom", (gen.name,) + args,
+                 lambda: batch_f_divergence(gen, p0, q0).tolist())
             emit("search_sup", (gen.name,) + args,
                  lambda: vars(search_sup(gen, params, config)))
 

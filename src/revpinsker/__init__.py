@@ -109,4 +109,4 @@ __all__ = [
     "verify_membership",
 ]
 
-__version__ = "0.6.1"
+__version__ = "0.7.0"

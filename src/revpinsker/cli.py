@@ -13,6 +13,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from functools import partial
 
 from .bounds import (
@@ -369,7 +370,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with warnings.catch_warnings():
+            # a value that overflows prints as "inf"; numpy's warning that
+            # it did, from any generator or from p / q, is noise on stderr
+            warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
+            return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,13 +1,9 @@
 """Evaluation of f-divergences on discrete distribution pairs.
 
-D_f is one sum, :func:`batch_f_divergence`, which checks its rows first;
-:func:`f_divergence` is that sum for one row.  A batch with every q > 0,
-as the oracle's sampled batches have, takes the sum without masks, and
-when it has fewer than 8 columns and at least 256 rows adds the terms a
-column at a time (:func:`_row_sums`), the order ``ndarray.sum(axis=1)``
-takes there, so the values are its own without its fixed cost per row.
-Both load numpy on first use; ``measure_pair``, ``renyi_from_hellinger``
-and ``renyi_divergence`` are plain ``math``."""
+D_f is one pipeline, :func:`batch_f_divergence`, whose docstring gives
+its steps; :func:`f_divergence` is that pipeline for one row.  Both load
+numpy on first use; ``measure_pair``, ``renyi_from_hellinger`` and
+``renyi_divergence`` are plain ``math``."""
 
 from __future__ import annotations
 
@@ -44,18 +40,13 @@ def batch_f_divergence(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarr
     NotAbsolutelyContinuous when a row has p_i > 0 where q_i = 0: that D_f
     is not the sum over q_i > 0.
 
-    When every q_i > 0 the ratios are p / q, and the result of
-    ``Generator.evaluate`` takes the product with q in place.  Otherwise a
-    q_i = 0 term reads ratio 1 and is masked to 0.  Both give the same bits
-    on a batch with every q_i > 0.
-
-    The rows of the unmasked path are summed by ``_row_sums`` when the
-    batch has fewer than 8 columns and at least 256 rows, as the oracle's
-    sampled batches of up to 7 atoms have: numpy runs down the rows, one
-    column at a time, which is the order ``ndarray.sum(axis=1)`` takes
-    below 8 columns in any memory layout, so the sums are the same bits.
-    Any other batch, such as ``f_divergence``'s one row, and the masked
-    path keep ``ndarray.sum``.
+    Only the ratios depend on the support: p / q when every q_i > 0, else
+    1 where q_i = 0.  Then ``Generator.evaluate`` gives f of the ratios, the
+    product with q is taken in place, so a q_i = 0 term is 0 * f(1), a zero,
+    and the rows are summed.  The sum is ``_row_sums`` for a batch of fewer
+    than 8 columns and at least 256 rows, as the oracle's sampled batches
+    of up to 7 atoms are, and ``ndarray.sum(axis=1)`` otherwise; both start
+    each row from +0.0, so a -0.0 term from f(1) = -0.0 leaves no trace.
     """
     import numpy as np
 
@@ -66,20 +57,20 @@ def batch_f_divergence(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarr
     support = q > 0
     # count_nonzero of a bool array costs about half of .all() on small ones
     if np.count_nonzero(support) == support.size:
-        # no masked divide; evaluate's result is a fresh array, so the
-        # product goes in place
-        terms = gen.evaluate(p / q)
-        terms *= q
-        # ndarray.sum runs along each short row at a fixed cost per row, which
-        # outweighs the column loop's from about 200 rows at n = 6; from 8
-        # columns its order along a C-ordered row is pairwise
-        if terms.shape[1] < 8 and len(terms) >= 256:
-            return _row_sums(terms)
-        return terms.sum(axis=1)
-    if (p[~support] > 0).any():
+        ratios = p / q
+    elif (p[~support] > 0).any():
         raise NotAbsolutelyContinuous("P has mass where Q has none")
-    ratios = np.divide(p, q, out=np.ones_like(p), where=support)
-    return np.where(support, q * gen.evaluate(ratios), 0.0).sum(axis=1)
+    else:
+        ratios = np.divide(p, q, out=np.ones_like(p), where=support)
+    # evaluate's result is a fresh array, so the product goes in place
+    terms = gen.evaluate(ratios)
+    terms *= q
+    # ndarray.sum runs along each short row at a fixed cost per row, which
+    # outweighs the column loop's from about 200 rows at n = 6; from 8
+    # columns its order along a C-ordered row is pairwise
+    if terms.shape[1] < 8 and len(terms) >= 256:
+        return _row_sums(terms)
+    return terms.sum(axis=1)
 
 
 def _row_sums(terms: np.ndarray) -> np.ndarray:

@@ -139,37 +139,20 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _hellinger_fn(alpha: float) -> Callable:
-    """(t^alpha - 1)/(alpha - 1) on a float or an array.  For alpha > 1 a
-    float power that overflows raises (``__call__`` reads +inf), and the
-    array branch lets it give inf without numpy's overflow warning; it keeps
-    the invalid and divide warnings.  For alpha < 1 t^alpha <= max(t, 1)
-    cannot overflow, so one expression serves both."""
-    if alpha < 1.0:
-        return lambda t: (t**alpha - 1.0) / (alpha - 1.0)
-
-    def fn(t):
-        if isinstance(t, float):
-            return (t**alpha - 1.0) / (alpha - 1.0)
-        import numpy as np
-
-        with np.errstate(over="ignore"):
-            return (t**alpha - 1.0) / (alpha - 1.0)
-
-    return fn
-
-
 @functools.lru_cache(maxsize=64)
 def hellinger_generator(alpha: float) -> Generator:
     """f(t) = (t^alpha - 1)/(alpha - 1) for alpha in (0,1) or (1,inf).
 
     f(0+) = 1/(1 - alpha); the slope at infinity is +inf for alpha > 1 and 0
-    for alpha < 1.  Cached: ``renyi_bound`` shares one frozen Generator per order.
+    for alpha < 1.  For alpha > 1 a power that overflows gives +inf: the
+    scalar ``__call__`` reads the float's OverflowError so, and an array
+    gives inf with numpy's overflow warning, as chi2 does.  Cached:
+    ``renyi_bound`` shares one frozen Generator per order.
     """
     alpha = check_alpha(alpha)
     return Generator(
         name=f"hellinger:{alpha:g}",
-        fn=_hellinger_fn(alpha),
+        fn=lambda t: (t**alpha - 1.0) / (alpha - 1.0),
         f_at_zero=1.0 / (1.0 - alpha),
         slope_at_infinity=math.inf if alpha > 1.0 else 0.0,
         mp_fn=lambda t: (t**alpha - 1) / (alpha - 1),

@@ -31,10 +31,8 @@ are then written a column at a time, numpy running down the rows: the
 anchors' codes, the free atoms' drawn codes and each parent's share
 mass / sums, with the parent's mass as a Python float.  A 2-D assignment
 or broadcast divide would run its inner loop along the rows, 2 to 12
-items long, and pay a fixed cost per row.  A sampled batch has every q > 0
-unless a weight underflows, so ``batch_f_divergence`` takes its sum
-without masks, and below 8 atoms and from 256 rows a column at a time
-as well.
+items long, and pay a fixed cost per row.  ``batch_f_divergence`` sums
+a sampled batch of fewer than 8 atoms a column at a time as well.
 
 ``search_sup`` seeds its best with the extremal pair, which attains the
 bound, and samples in chunks of 20 000 rows; its history holds one
@@ -206,8 +204,9 @@ def _sample_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked weight arrays (trials, n) of pairs lying exactly in the class.
 
-    ``base`` is ``ternary_extremal(params)``, built once by the caller and
-    shared by every chunk.
+    n is a support size that ``SearchConfig`` accepts.  ``base`` is
+    ``ternary_extremal(params)``, built once by the caller and shared by
+    every chunk.
 
     Split: each row keeps one anchor atom per parent atom of ``base`` (with
     Q mass) and gives each other atom a random parent.  One ``np.bincount``
@@ -236,8 +235,6 @@ def _sample_batch(
     """
     import numpy as np
 
-    if n < 3:
-        raise InvalidParams("need support size n >= 3")
     s = _scratch
     # the parents are base's atoms with Q mass; an atom's index in base is
     # its side of 1: 0 below, 1 above, 2 at ratio 1.  k0 <= 3, so the tables
@@ -341,11 +338,15 @@ def _sample_batch(
 def sample_pair_in_class(
     params: ClassParams, n: int, seed: int
 ) -> tuple[Distribution, Distribution]:
-    """One pair with measured (delta, m, M) matching params to ~1e-9."""
+    """One pair on n atoms with measured (delta, m, M) matching params to
+    ~1e-9.  n and seed follow ``SearchConfig``'s rules: an integer n in
+    [3, 12] and an integer seed >= 0, else InvalidParams."""
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    p, q = _sample_batch(params, ternary_extremal(params), n, 1, rng, PERTURBATION_STEPS)
+    config = SearchConfig(n, 1, seed)
+    rng = np.random.default_rng(config.seed)
+    p, q = _sample_batch(params, ternary_extremal(params), config.support_size, 1, rng,
+                         PERTURBATION_STEPS)
     return validate_distribution(p[0]), validate_distribution(q[0])
 
 

@@ -72,7 +72,6 @@ class TestBound:
                      "--delta", "-1e-3", "--m", "0.5", "--M", "2"]) == 2
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("formula", ["thm1", "cor1"])
     def test_overflowing_f_of_M_is_inf(self, formula, capsys):
         # (1e300)**3 overflows; the scalar path gives inf as the array path does
@@ -425,6 +424,25 @@ class TestRenyi:
             '"deviation_delta": 0.0, "deviation_m": 0.0, "deviation_M": 0.0, '
             '"divergence.renyi:3": 689.6242353517166, "bound.renyi:3": 689.6242353517168, '
             '"gap.renyi:3": 2.2737367544323206e-13}, "status": "pass"}\n')
+
+    @pytest.mark.parametrize("args, stdout", [
+        (("--div", "chi2", "--p", "0.1,0.1,0.8", "--q", "0.2,1e-301,0.8"),
+         '{"command": "divergence", "inputs": {"div": "chi2", "p": "0.1,0.1,0.8", '
+         '"q": "0.2,1e-301,0.8"}, "results": {"divergence": "inf", "delta": 0.1, '
+         '"m": 0.5, "M": 1e+300}, "status": "n/a"}\n'),
+        (("--div", "kl", "--p", "0.1,0.1,0.8", "--q", "0.2,1e-310,0.8"),
+         '{"command": "divergence", "inputs": {"div": "kl", "p": "0.1,0.1,0.8", '
+         '"q": "0.2,1e-310,0.8"}, "results": {"divergence": "inf", "delta": 0.1, '
+         '"m": 0.5, "M": "inf"}, "status": "n/a"}\n'),
+    ], ids=["chi2-square", "kl-ratio"])
+    def test_divergence_past_overflow_warns_nothing(self, args, stdout):
+        # chi2's t * t and the ratio 0.1 / 1e-310 overflow to the inf that
+        # is printed; the CLI keeps numpy's overflow warning off stderr
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", *CLI[1:], "divergence", *args],
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0 and result.stderr == ""
+        assert result.stdout == stdout
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_finite_past_hellinger_overflow(self, capsys):

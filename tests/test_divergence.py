@@ -120,9 +120,13 @@ def _sqrt_hellinger(t):
     return s * s
 
 
+#: the last, -log t, has f(1) = -0.0: its q = 0 terms are 0 * -0.0 = -0.0,
+#: where the masked reference writes +0.0
 BATCH_GENERATORS = (kl_generator(), tv_generator(), chi2_generator(),
                     hellinger_generator(0.5), hellinger_generator(3),
-                    custom_generator(_sqrt_hellinger, f_at_zero=1.0, slope_at_infinity=1.0))
+                    custom_generator(_sqrt_hellinger, f_at_zero=1.0, slope_at_infinity=1.0),
+                    custom_generator(lambda t: -math.log(t), f_at_zero=INF, slope_at_infinity=0.0,
+                                     name="reverse_kl"))
 
 _positive = st.one_of(st.floats(5e-324, 1.0), st.floats(1.0, 1e300))
 _weight = st.one_of(st.just(0.0), _positive)
@@ -134,9 +138,9 @@ def _batches(draw):
     atoms, each of them under a p = 0 atom or under mass, in C or Fortran
     order.
 
-    Up to 40 rows and 20 columns, or 255 to 257 rows, so the unmasked sum
-    is taken both by ndarray.sum and, below 8 columns from 256 rows, by
-    ``_row_sums``.  The weights are drawn from a pool that hypothesis
+    Up to 40 rows and 20 columns, or 255 to 257 rows, so the sum, masked
+    or not, is taken both by ndarray.sum and, below 8 columns from 256
+    rows, by ``_row_sums``.  The weights are drawn from a pool that hypothesis
     picks, placed by a seeded generator, which keeps a 257 x 20 batch
     within hypothesis's data budget."""
     n = draw(st.integers(1, 20))

@@ -87,6 +87,14 @@ class TestSamplePair:
         with pytest.raises(InvalidParams):
             sample_pair_in_class(PARAMS, 2, 0)
 
+    # the inputs SearchConfig rejects: a negative seed, a support size or
+    # seed that is not an integer, and a support size above 12
+    @pytest.mark.parametrize("n, seed", [(6, -1), (6.5, 0), (6, 1.5), (40, 0)],
+                             ids=["negative-seed", "float-n", "float-seed", "large-n"])
+    def test_search_config_rules(self, n, seed):
+        with pytest.raises(InvalidParams):
+            sample_pair_in_class(PARAMS, n, seed)
+
     def test_deterministic(self):
         a = sample_pair_in_class(PARAMS, 6, 42)
         b = sample_pair_in_class(PARAMS, 6, 42)

@@ -233,7 +233,6 @@ total_variation_value = st.floats(min_value=0.0, max_value=1.0, exclude_min=True
 
 @given(st.sampled_from(GENERATORS), ratio_low, ratio_high)
 @settings(max_examples=300, deadline=None)
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_corollary1_is_theorem1_at_the_cap(gen, m, M):
     params = ClassParams(tv_cap(m, M), m, M)
     assert outcome(corollary1_bound, gen, m, M) == outcome(theorem1_bound, gen, params)
@@ -244,7 +243,6 @@ def test_corollary1_is_theorem1_at_the_cap(gen, m, M):
 @example(0.25, 0.3985, 0.396, 79.856)
 @example(3.0, 1.0, 0.0, 5.643803094122362e102)  # the Hellinger bound overflows
 @settings(max_examples=300, deadline=None)
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_renyi_is_the_transformed_hellinger_bound(alpha, delta, m, M):
     # bit for bit, except where the float Hellinger bound overflows: the
     # transform of inf reads inf, and renyi_bound composes in the log domain
