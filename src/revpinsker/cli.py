@@ -32,7 +32,7 @@ from .bounds import (
 )
 from .divergence import f_divergence, measure_pair, renyi_divergence
 from .errors import RevPinskerError
-from .extremal import ternary_extremal, verify_membership
+from .extremal import MEMBERSHIP_TOLERANCE, ternary_extremal, verify_membership
 from .generators import (
     Generator,
     chi2_generator,
@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     add_class(p)
-    p.add_argument("--tol", type=_parse_number, default=1e-9)
+    p.add_argument("--tol", type=_parse_number, default=MEMBERSHIP_TOLERANCE)
     p.add_argument("--div", default="kl,tv,chi2")
     add_common(p)
     p.set_defaults(func=_cmd_verify)

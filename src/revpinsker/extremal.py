@@ -16,6 +16,8 @@ from .generators import Generator
 
 #: largest |p/q - m| at the m atom, and |p/q - M| / M at the M atom, of a built pair
 RATIO_TOLERANCE = 1e-12
+#: ``verify_membership``'s default tolerance
+MEMBERSHIP_TOLERANCE = 1e-9
 
 
 class ExtremalPair(Record):
@@ -101,15 +103,18 @@ def verify_membership(
     P: Distribution,
     Q: Distribution,
     params: ClassParams,
-    tol: float = 1e-9,
+    tol: float = MEMBERSHIP_TOLERANCE,
     generators: tuple[Generator, ...] = (),
 ) -> PairReport:
     """Check whether (P, Q) lies in the class given by params, to tolerance:
-    delta and m to ``tol`` absolute, M to ``tol`` relative to M.
+    delta and m to ``tol`` absolute, M to ``tol`` relative to M.  A
+    negative or NaN ``tol`` raises InvalidParams.
 
     For each supplied generator the report also carries D_f(P || Q), the
     optimal bound at the target parameters, and their gap (``bound_gap``:
     bound minus divergence, which is nonnegative for true members)."""
+    if not (tol >= 0.0):  # a NaN fails this too
+        raise InvalidParams(f"tol must be >= 0, got {tol!r}")
     delta, m, M = measure_pair(P, Q)
     dd = abs(delta - params.delta)
     dm = abs(m - params.m)

@@ -31,8 +31,10 @@ class Generator(Record):
     need numpy only for the array; :func:`custom_generator` wraps a
     scalar-only callable once, with ``np.vectorize``.  ``fn`` is only
     called on t > 0: at t = 0 both ``__call__`` and ``evaluate`` return
-    ``f_at_zero``.  ``mp_fn``, when present, is an mpmath-safe twin used for
-    sweeps beyond float range; the ``repr``, equality and hash leave it out.
+    ``f_at_zero``.  ``mp_fn``, when present, takes mpmath numbers, for
+    sweeps beyond float range; a stock generator's is its ``fn``, one
+    formula for floats, arrays and mpmath.  The ``repr``, equality and hash
+    leave it out.
     """
 
     __slots__ = _fields = ("name", "fn", "f_at_zero", "slope_at_infinity", "mp_fn")
@@ -82,52 +84,34 @@ class Generator(Record):
 
 
 def _kl(t):
-    """t log t: math.log on a float, numpy's log on an array."""
+    """t log t with the log of t's kind: math's on a float, mpmath's on an
+    mpmath number (which loads no numpy) and numpy's on an array."""
     if isinstance(t, float):
         return t * math.log(t)
+    if hasattr(t, "_mpf_"):
+        import mpmath
+
+        return t * mpmath.log(t)
     import numpy as np
 
     return t * np.log(t)
 
 
-def _kl_mp(t):
-    """t log t in mpmath, which loads on the first call."""
-    import mpmath
-
-    return t * mpmath.log(t)
-
-
 def kl_generator() -> Generator:
     """f(t) = t log t (natural log), the relative-entropy generator."""
-    return Generator(
-        name="kl",
-        fn=_kl,
-        f_at_zero=0.0,
-        slope_at_infinity=math.inf,
-        mp_fn=_kl_mp,
-    )
+    return Generator(name="kl", fn=_kl, f_at_zero=0.0, slope_at_infinity=math.inf, mp_fn=_kl)
 
 
 def tv_generator() -> Generator:
     """f(t) = |t - 1| / 2, the total-variation generator."""
-    return Generator(
-        name="tv",
-        fn=lambda t: 0.5 * abs(t - 1.0),
-        f_at_zero=0.5,
-        slope_at_infinity=0.5,
-        mp_fn=lambda t: abs(t - 1) / 2,
-    )
+    f = lambda t: 0.5 * abs(t - 1.0)
+    return Generator(name="tv", fn=f, f_at_zero=0.5, slope_at_infinity=0.5, mp_fn=f)
 
 
 def chi2_generator() -> Generator:
     """f(t) = t^2 - 1, the chi-squared generator (Hellinger order 2)."""
-    return Generator(
-        name="chi2",
-        fn=lambda t: t * t - 1.0,
-        f_at_zero=-1.0,
-        slope_at_infinity=math.inf,
-        mp_fn=lambda t: t * t - 1,
-    )
+    f = lambda t: t * t - 1.0
+    return Generator(name="chi2", fn=f, f_at_zero=-1.0, slope_at_infinity=math.inf, mp_fn=f)
 
 
 def check_alpha(alpha: float) -> float:
@@ -150,12 +134,13 @@ def hellinger_generator(alpha: float) -> Generator:
     ``renyi_bound`` shares one frozen Generator per order.
     """
     alpha = check_alpha(alpha)
+    f = lambda t: (t**alpha - 1.0) / (alpha - 1.0)
     return Generator(
         name=f"hellinger:{alpha:g}",
-        fn=lambda t: (t**alpha - 1.0) / (alpha - 1.0),
+        fn=f,
         f_at_zero=1.0 / (1.0 - alpha),
         slope_at_infinity=math.inf if alpha > 1.0 else 0.0,
-        mp_fn=lambda t: (t**alpha - 1) / (alpha - 1),
+        mp_fn=f,
     )
 
 

@@ -500,4 +500,4 @@ def falsify_feasibility(params: ClassParams, config: SearchConfig) -> bool:
         P, Q = sample_pair_in_class(params, config.support_size, config.seed)
     except InvalidParams:
         return False
-    return verify_membership(P, Q, params, tol=1e-9).passed
+    return verify_membership(P, Q, params).passed

@@ -32,7 +32,7 @@ from revpinsker import (
 )
 from revpinsker import chi2_generator
 from revpinsker.bounds import bound_gap
-from revpinsker.errors import Infeasible, InvalidParams, UnboundedM
+from revpinsker.errors import Infeasible, InvalidParams, LogDomain, UnboundedM
 
 KL = kl_generator()
 TV = tv_generator()
@@ -277,6 +277,10 @@ class TestKlAb:
         # series branch agrees with the direct quotient
         x = 1.0 + 3e-9
         assert log_over_x_minus_1(x) == pytest.approx(1.0 - 1.5e-9, abs=1e-13)
+
+    def test_log_over_x_minus_1_rejects_zero(self):
+        with pytest.raises(LogDomain):
+            log_over_x_minus_1(0.0)
 
 
 class TestRenyi:

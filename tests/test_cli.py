@@ -171,6 +171,16 @@ class TestVerify:
         assert rec["status"] == "pass"
         assert rec["results"]["deviation_M"] <= 1e-15
 
+    def test_negative_tol_exits_2_with_empty_stdout(self, capsys):
+        from revpinsker.cli import main
+
+        code = main(["verify", "--p", "0.25,0.5,0.25", "--q", "0.5,0.25,0.25",
+                     "--delta", "0.25", "--m", "0.5", "--M", "2", "--tol", "-1"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tol must be >= 0")
+
 
 class TestCompare:
     @pytest.mark.parametrize("comparator", ["simic", "sason-chi2", "sason-renyi", "verdu"])

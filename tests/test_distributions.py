@@ -122,6 +122,11 @@ def test_values_is_a_tuple_of_floats():
     assert validate_distribution(1.0).values == (1.0,)
 
 
+def test_len_is_the_support_size():
+    d = validate_distribution([0.2, 0.3, 0.5, 0.0])
+    assert len(d) == d.n == 4
+
+
 def test_weights_is_a_read_only_array_of_the_values():
     d = validate_distribution([0.2, 0.3, 0.5])
     assert isinstance(d.weights, np.ndarray) and not d.weights.flags.writeable

@@ -195,3 +195,18 @@ def test_verify_membership_detects_wrong_delta():
     report = verify_membership(P, Q, ClassParams(0.3, 0.5, 2.0), tol=1e-12)
     assert not report.passed
     assert report.deviation_delta == pytest.approx(0.05, abs=1e-12)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_verify_membership_rejects_a_negative_or_nan_tol(tol):
+    pair = ternary_extremal(ClassParams(0.25, 0.5, 2.0))
+    with pytest.raises(InvalidParams, match="tol"):
+        verify_membership(pair.P, pair.Q, ClassParams(0.25, 0.5, 2.0), tol=tol)
+
+
+def test_verify_membership_infinite_tol_passes_any_measured_pair():
+    P = validate_distribution([0.25, 0.5, 0.25])
+    Q = validate_distribution([0.5, 0.25, 0.25])
+    report = verify_membership(P, Q, ClassParams(0.0, 0.1, 10.0), tol=math.inf)
+    assert report.deviation_delta == 0.25
+    assert report.passed

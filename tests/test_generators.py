@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -224,3 +225,35 @@ def test_scalar_call_rejects_negative_t():
     for gen in (kl_generator(), hellinger_generator(0.5), tv_generator()):
         with pytest.raises(InvalidParams):
             gen(-1.0)
+
+
+def test_infinite_t_reads_inf_without_calling_f():
+    # t log t - t + 1 is inf - inf = NaN at a float inf, so an inf result
+    # shows that the call took the infinite slope instead of f
+    def f(t):
+        return t * math.log(t) - t + 1
+
+    assert math.isnan(f(math.inf))
+    assert custom_generator(f, 1.0, math.inf)(math.inf) == math.inf
+
+
+#: each stock generator's mpmath formula from when it had one apart from fn
+MP_FORMULAS = [
+    (kl_generator(), lambda t: t * mpmath.log(t)),
+    (tv_generator(), lambda t: abs(t - 1) / 2),
+    (chi2_generator(), lambda t: t * t - 1),
+] + [
+    (hellinger_generator(a), lambda t, a=a: (t**a - 1) / (a - 1))
+    for a in (0.25, 0.5, 2.0, 3.0)
+]
+MP_POINTS = [1e-300, 1e-8, 0.5, 1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52, 2.0, 1e8, 1e300]
+
+
+@pytest.mark.parametrize("gen, formula", MP_FORMULAS, ids=[g.name for g, _ in MP_FORMULAS])
+def test_one_formula_serves_mpmath_with_unchanged_values(gen, formula):
+    assert gen.mp_fn is gen.fn
+    with mpmath.workdps(50):
+        for t in MP_POINTS:
+            value = gen.mp_fn(mpmath.mpf(t))
+            assert isinstance(value, mpmath.mpf)
+            assert value == formula(mpmath.mpf(t)), t

@@ -1,6 +1,6 @@
-"""Import contract: the scalar layer starts without numpy or mpmath, and
-the package's records load no ``dataclasses`` (nor the ``inspect`` that it
-pulls in).
+"""Import contract: the scalar layer starts without numpy, mpmath or
+``revpinsker.oracle``, and the package's records load no ``dataclasses``
+(nor the ``inspect`` that it pulls in).
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported all of them.  numpy imports ``inspect`` itself, so the
@@ -18,6 +18,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 ARRAYS = ("numpy", "mpmath")
 HEAVY = ARRAYS + ("dataclasses", "inspect")
+#: compiling oracle.py is a sizeable part of an import with no bytecode
+#: cache, so only what runs the oracle loads it
+ORACLE = ("revpinsker.oracle",)
 
 
 def loaded_after(code: str, modules=HEAVY) -> str:
@@ -42,7 +45,7 @@ def cli_code(*argv: str) -> str:
 
 
 def test_import_loads_neither():
-    assert loaded_after("import revpinsker\n") == "[]"
+    assert loaded_after("import revpinsker\n", HEAVY + ORACLE) == "[]"
 
 
 @pytest.mark.parametrize("argv", [
@@ -53,7 +56,7 @@ def test_import_loads_neither():
     ("compare", "--comparator", "verdu"),
 ], ids=lambda argv: "-".join(argv[:3]))
 def test_scalar_commands_load_neither(argv):
-    assert loaded_after(cli_code(*argv)) == "[]"
+    assert loaded_after(cli_code(*argv), HEAVY + ORACLE) == "[]"
 
 
 def test_oracle_names_resolve_on_first_use():
@@ -81,10 +84,19 @@ def test_unknown_names_still_raise():
         "    else:\n"
         "        raise SystemExit(1)\n"
     )
-    assert loaded_after(code) == "[]"
+    assert loaded_after(code, HEAVY + ORACLE) == "[]"
 
 
 def test_fuzz_loads_numpy_but_not_mpmath():
     argv = ("fuzz", "--div", "kl", "--delta", "0.25", "--m", "0.5", "--M", "2",
             "--trials", "50")
     assert loaded_after(cli_code(*argv), ARRAYS) == "['numpy']"
+
+
+def test_mpmath_formula_loads_no_numpy():
+    code = (
+        "import mpmath\n"
+        "from revpinsker import kl_generator\n"
+        "assert kl_generator().mp_fn(mpmath.mpf(2)) == 2 * mpmath.log(2)\n"
+    )
+    assert loaded_after(code, ARRAYS) == "['mpmath']"

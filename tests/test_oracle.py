@@ -154,7 +154,7 @@ class TestSearchConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("support_size", 6.5), ("support_size", "6"),
-        ("trials", 2.5), ("trials", True), ("trials", None),
+        ("trials", 2.5), ("trials", True), ("trials", None), ("trials", 0),
         ("seed", 1.5), ("seed", -1), ("seed", False),
     ])
     def test_field_not_a_valid_integer(self, field, value):
@@ -360,6 +360,10 @@ class TestUnconstrainedSweep:
         out = search_unconstrained_sup(kl_generator(), 0.0)
         assert out.best_value == 0.0
         assert out.bound == 0.0
+
+    def test_delta_one_raises(self):
+        with pytest.raises(InvalidParams):
+            search_unconstrained_sup(kl_generator(), 1.0)
 
 
 class TestFalsifyFeasibility:
