@@ -199,9 +199,10 @@ def test_verify_membership_detects_wrong_delta():
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan])
 def test_verify_membership_rejects_a_negative_or_nan_tol(tol):
-    pair = ternary_extremal(ClassParams(0.25, 0.5, 2.0))
+    params = ClassParams(0.25, 0.5, 2.0)
+    pair = ternary_extremal(params)
     with pytest.raises(InvalidParams, match="tol"):
-        verify_membership(pair.P, pair.Q, ClassParams(0.25, 0.5, 2.0), tol=tol)
+        verify_membership(pair.P, pair.Q, params, tol=tol)
 
 
 def test_verify_membership_infinite_tol_passes_any_measured_pair():

@@ -237,7 +237,8 @@ def test_infinite_t_reads_inf_without_calling_f():
     assert custom_generator(f, 1.0, math.inf)(math.inf) == math.inf
 
 
-#: each stock generator's mpmath formula from when it had one apart from fn
+#: each stock generator's formula written for mpmath alone, which its one
+#: formula for every input kind must match exactly
 MP_FORMULAS = [
     (kl_generator(), lambda t: t * mpmath.log(t)),
     (tv_generator(), lambda t: abs(t - 1) / 2),
