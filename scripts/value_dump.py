@@ -23,7 +23,10 @@ which ``batch_f_divergence`` sums a column at a time): the p and q of a
 seeded ``_sample_batch``, ``batch_f_divergence`` of its rows for each
 generator, also with the last atom's p and q set to 0 (the q = 0 ratios),
 and each generator's ``search_sup`` outcome (best value and pair, bound,
-gap, violations and history).  Runs in process and is deterministic.
+gap, violations and history).  The Renyi value of a pair, its Hellinger
+value through ``renyi_from_hellinger`` with the pair as source, is dumped
+per order on each sampled class's extremal pair and on ``OVERFLOW_PAIR``,
+whose Hellinger-3 value overflows.  Runs in process and is deterministic.
 """
 
 import argparse
@@ -46,12 +49,14 @@ from revpinsker import (
     kl_generator,
     measure_pair,
     renyi_bound,
+    renyi_from_hellinger,
     search_sup,
     search_unconstrained_sup,
     ternary_extremal,
     theorem1_bound,
     tv_cap,
     tv_generator,
+    validate_distribution,
     vajda_bound,
     verify_membership,
 )
@@ -74,6 +79,8 @@ SAMPLE_CLASSES = ((0.25, 0.5, 2.0), (0.05, 0.1, 100.0), (0.4, 0.0, 5.0),
 #: (n, trials) of the sampled batches and searches
 SAMPLE_SHAPES = ((3, 2), (6, 7), (12, 13), (12, 40), (6, 300))
 SAMPLE_SEED = 1
+#: a pair whose sum p**3 / q**2 is about 1e599, past float range
+OVERFLOW_PAIR = ((0.1, 0.1, 0.8), (0.2, 1e-301, 0.8))
 REPORT_FIELDS = ("measured_delta", "measured_m", "measured_M", "deviation_delta",
                  "deviation_m", "deviation_M", "passed", "divergences", "bounds", "gaps")
 
@@ -147,6 +154,14 @@ def dump_oracle(gens, delta: float, m: float, M: float) -> None:
                  lambda: batch_f_divergence(gen, p0, q0).tolist())
             emit("search_sup", (gen.name,) + args,
                  lambda: vars(search_sup(gen, params, config)))
+    dump_renyi_pair((delta, m, M), base.P, base.Q)
+
+
+def dump_renyi_pair(args: tuple, P: Distribution, Q: Distribution) -> None:
+    for alpha in HELLINGER_ORDERS:
+        gen = hellinger_generator(alpha)
+        emit("renyi_pair", (alpha,) + args,
+             lambda: renyi_from_hellinger(alpha, f_divergence(gen, P, Q), (P, Q)))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -171,6 +186,7 @@ def main(argv: list[str] | None = None) -> int:
                      lambda: vars(search_unconstrained_sup(gen, delta)))
         for delta, m, M in SAMPLE_CLASSES:
             dump_oracle(gens, delta, m, M)
+        dump_renyi_pair(OVERFLOW_PAIR, *map(validate_distribution, OVERFLOW_PAIR))
     return 0
 
 

@@ -42,7 +42,6 @@ from .divergence import (
     batch_f_divergence,
     f_divergence,
     measure_pair,
-    renyi_divergence,
     renyi_from_hellinger,
 )
 from .extremal import ExtremalPair, PairReport, ternary_extremal, verify_membership
@@ -92,7 +91,6 @@ __all__ = [
     "measure_pair",
     "ratio_extremes",
     "renyi_bound",
-    "renyi_divergence",
     "renyi_from_hellinger",
     "sample_pair_in_class",
     "sason_chi2_bound",
@@ -109,4 +107,4 @@ __all__ = [
     "verify_membership",
 ]
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

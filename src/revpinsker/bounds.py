@@ -4,10 +4,9 @@ Over pairs (P, Q) with total variation delta and ratio extremes (m, M), the
 sup of D_f is delta * chord_slope_gap(gen, m, M) = delta * (f(m)/(1-m) +
 f(M)/(M-1)), and chord_slope_gap alone evaluates f.  corollary1_bound is that
 bound at delta = tv_cap(m, M), vajda_bound is delta * chord_slope_gap(gen, 0,
-inf) and renyi_bound is renyi_from_hellinger of the Hellinger-alpha bound.
-kl_bound_ab keeps its own form: its near-1 series beats the plain secant;
-so does renyi_bound where the Hellinger bound overflows
-(``_renyi_log_domain`` writes out Hellinger's f in the log domain).
+inf) and renyi_bound is renyi_from_hellinger of the Hellinger-alpha bound
+(which takes the class's log-domain form where that bound overflows).
+kl_bound_ab keeps its own form: its near-1 series beats the plain secant.
 Simic's (KL) and Sason's (chi-squared) weaker comparators fill the dominance
 tables.
 
@@ -122,12 +121,15 @@ def feasible(params: ClassParams) -> bool:
 
 def chord_slope_gap(gen: Generator, m: float, M: float) -> float:
     """f(m)/(1-m) + f(M)/(M-1), the per-delta coefficient of the optimal
-    bound.  Requires m < 1 < M; +inf when f(0+) = +inf and m = 0.  At
-    M = +inf the second term is its limit f'(inf).
+    bound.  Raises InvalidParams unless 0 <= m < 1 < M, for a NaN too; +inf
+    when f(0+) = +inf and m = 0.  At M = +inf the second term is its limit
+    f'(inf).
 
     Nonnegative for every convex f with f(1) = 0: the two terms are the
     negated left and the right slope of chords through (1, 0).
     """
+    if not (0.0 <= m < 1.0 < M):
+        raise InvalidParams(f"need 0 <= m < 1 < M, got m={m!r}, M={M!r}")
     # IEEE gives inf / inf = NaN, not the limit
     right = gen.slope_at_infinity if M == INF else gen(M) / (M - 1.0)
     return gen(m) / (1.0 - m) + right
@@ -173,7 +175,7 @@ def log_over_x_minus_1(x: float) -> float:
     """log(x)/(x - 1) for x > 0, taken as its limits 1 at x = 1 and 0 at
     x = +inf; a short series is used near 1 to dodge cancellation."""
     x = float(x)
-    if x <= 0.0:
+    if not (x > 0.0):  # a NaN fails this too
         raise LogDomain(f"need x > 0, got {x!r}")
     if x == INF:
         return 0.0
@@ -201,26 +203,10 @@ def kl_bound_ab(delta: float, a: float, b: float) -> float:
 def renyi_bound(alpha: float, params: ClassParams) -> float:
     """Optimal Renyi-alpha bound over the (delta, m, M) class, the monotone
     transform of the Hellinger-alpha optimum.  For finite M the bound is
-    finite; when the float Hellinger bound overflows (alpha > 1, M**alpha
-    past float range), the transform is composed in the log domain."""
-    value = renyi_from_hellinger(alpha, theorem1_bound(hellinger_generator(alpha), params))
-    return _renyi_log_domain(float(alpha), params) if value == INF else value
-
-
-def _renyi_log_domain(alpha: float, params: ClassParams) -> float:
-    """log(1 + (alpha-1) h) / (alpha-1) for alpha > 1 from (delta, m, M),
-    where the Hellinger bound h overflows.  (alpha-1) h = x - b with
-    x = delta (M**alpha - 1)/(M - 1) and b = delta (1 - m**alpha)/(1 - m) <= 1;
-    here M**alpha is past float range, so M**alpha - 1 rounds to M**alpha
-    and log x = log delta + alpha log M - log(M - 1)."""
-    delta, m, M = params.delta, params.m, params.M
-    b = delta * (1.0 - m**alpha) / (1.0 - m)
-    log_x = math.log(delta) + alpha * math.log(M) - math.log(M - 1.0)
-    if log_x > 0.0:
-        log_arg = log_x + math.log1p((1.0 - b) * math.exp(-log_x))
-    else:
-        log_arg = math.log1p(math.exp(log_x) - b)
-    return log_arg / (alpha - 1.0)
+    finite: where the float Hellinger bound overflows (alpha > 1, M**alpha
+    past float range), ``renyi_from_hellinger`` composes it from the class
+    in the log domain."""
+    return renyi_from_hellinger(alpha, theorem1_bound(hellinger_generator(alpha), params), params)
 
 
 def simic_kl_bound(a: float, b: float) -> float:

@@ -30,7 +30,7 @@ from .bounds import (
     tv_cap,
     vajda_bound,
 )
-from .divergence import f_divergence, measure_pair, renyi_divergence
+from .divergence import f_divergence, measure_pair, renyi_from_hellinger
 from .errors import RevPinskerError
 from .extremal import MEMBERSHIP_TOLERANCE, ternary_extremal, verify_membership
 from .generators import (
@@ -76,25 +76,20 @@ def _parse_number(text: str) -> float:
 
 
 def _parse_weights(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ParseError(f"bad weight list: {text!r}")
+    return [_parse_number(part) for part in text.split(",")]
 
 
-def _same(value: float, pair=None) -> float:
+def _same(value: float, source=None) -> float:
     return value
 
 
 def _resolve_divergence(spec: str):
-    """Return (Generator, report, class_bound) for a --div spec.
-    ``report(value, pair)`` maps the generator's divergence of ``pair``, or
-    a bound on it (no pair), to the printed value; ``class_bound(params)``
-    is the printed optimal bound over a class.  They are the identity and
-    ``theorem1_bound(gen, .)``, except for renyi:alpha: there the generator
-    is Hellinger's of order alpha, named renyi:alpha, report is the monotone
-    ``renyi_divergence(alpha, .)``, and class_bound is
-    ``renyi_bound(alpha, .)``; both are finite where the float Hellinger
+    """Return (Generator, report) for a --div spec.  ``report(value,
+    source)`` maps the generator's value on ``source``, a pair (P, Q) or a
+    ``ClassParams`` whose bound it is, to the printed value: the identity,
+    except for renyi:alpha.  There the generator is Hellinger's of order
+    alpha, named renyi:alpha, and report is the monotone
+    ``renyi_from_hellinger(alpha, .)``, finite where the float Hellinger
     value overflows."""
     spec = spec.strip().lower()
     named = {"kl": kl_generator, "tv": tv_generator, "chi2": chi2_generator}
@@ -106,10 +101,10 @@ def _resolve_divergence(spec: str):
         alpha = _parse_number(spec.split(":", 1)[1])
         h = hellinger_generator(alpha)
         gen = Generator(f"renyi:{alpha:g}", h.fn, h.f_at_zero, h.slope_at_infinity, h.mp_fn)
-        return gen, partial(renyi_divergence, alpha), partial(renyi_bound, alpha)
+        return gen, partial(renyi_from_hellinger, alpha)
     else:
         raise ParseError(f"unknown divergence {spec!r}")
-    return gen, _same, partial(theorem1_bound, gen)
+    return gen, _same
 
 
 def _fmt(x, csv: bool):
@@ -148,23 +143,19 @@ def _record(command: str, inputs: dict, results: dict, status: str = "n/a") -> d
 
 
 def _cmd_bound(args) -> int:
-    gen, report, class_bound = _resolve_divergence(args.div)
+    gen, report = _resolve_divergence(args.div)
     inputs = {"div": args.div, "formula": args.formula, "delta": args.delta,
               "m": args.m, "M": args.M}
     if args.formula == "thm1":
         if args.delta is None or args.m is None or args.M is None:
             raise ParseError("thm1 needs --delta, --m and --M")
-        value = class_bound(ClassParams(delta=args.delta, m=args.m, M=args.M))
+        params = ClassParams(delta=args.delta, m=args.m, M=args.M)
+        value = report(theorem1_bound(gen, params), params)
     elif args.formula == "cor1":
         if args.m is None or args.M is None:
             raise ParseError("cor1 needs --m and --M")
-        # the class bound at delta = cap; a zero cap (m = 1 or M = 1) is
-        # the class P = Q, which corollary1_bound reads as 0
-        cap = tv_cap(args.m, args.M)
-        if cap > 0.0:
-            value = class_bound(ClassParams(delta=cap, m=args.m, M=args.M))
-        else:
-            value = report(corollary1_bound(gen, args.m, args.M))
+        bound = corollary1_bound(gen, args.m, args.M)
+        value = report(bound, ClassParams(tv_cap(args.m, args.M), args.m, args.M))
     else:  # cor2; argparse restricts --formula to the three choices
         if args.delta is None:
             raise ParseError("cor2 needs --delta")
@@ -174,7 +165,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_divergence(args) -> int:
-    gen, report, _ = _resolve_divergence(args.div)
+    gen, report = _resolve_divergence(args.div)
     from .distributions import validate_distribution
 
     P = validate_distribution(_parse_weights(args.p))
@@ -215,7 +206,8 @@ def _cmd_verify(args) -> int:
     Q = validate_distribution(_parse_weights(args.q))
     params = ClassParams(delta=args.delta, m=args.m, M=args.M)
     divs = [_resolve_divergence(d) for d in args.div.split(",")]
-    pair = verify_membership(P, Q, params, tol=args.tol)
+    pair = verify_membership(P, Q, params, tol=args.tol,
+                             generators=tuple(gen for gen, _ in divs))
     results = {
         "measured_delta": pair.measured_delta,
         "measured_m": pair.measured_m,
@@ -224,9 +216,9 @@ def _cmd_verify(args) -> int:
         "deviation_m": pair.deviation_m,
         "deviation_M": pair.deviation_M,
     }
-    for gen, report, class_bound in divs:
-        value = report(f_divergence(gen, P, Q), (P, Q))
-        bound = class_bound(params)
+    for gen, report in divs:
+        value = report(pair.divergences[gen.name], (P, Q))
+        bound = report(pair.bounds[gen.name], params)
         results[f"divergence.{gen.name}"] = value
         results[f"bound.{gen.name}"] = bound
         results[f"gap.{gen.name}"] = bound_gap(bound, value)
@@ -287,13 +279,13 @@ def _cmd_compare(args) -> int:
 def _cmd_fuzz(args) -> int:
     from .oracle import SearchConfig, search_sup
 
-    gen, report, class_bound = _resolve_divergence(args.div)
+    gen, report = _resolve_divergence(args.div)
     params = ClassParams(delta=args.delta, m=args.m, M=args.M)
     config = SearchConfig(support_size=args.n, trials=args.trials, seed=args.seed)
     outcome = search_sup(gen, params, config)
     # report is monotone, so it keeps the ordering and the violation count
     best = report(outcome.best_value, outcome.best_pair)
-    bound = class_bound(params)
+    bound = report(outcome.bound, params)
     record = _record(
         "fuzz",
         {"div": args.div, "delta": args.delta, "m": args.m, "M": args.M,

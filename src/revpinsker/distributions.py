@@ -72,8 +72,8 @@ def validate_distribution(weights) -> Distribution:
     """Validate a weight vector and return the normalized Distribution.
 
     Takes a scalar (one atom), a sequence or a 1-D array.  Rejects empty or
-    nested input, NaN and negative weights, and sums further than
-    SUM_TOLERANCE from one.
+    nested input, items that are not numbers, NaN and negative weights, and
+    sums further than SUM_TOLERANCE from one.
     """
     if hasattr(weights, "tolist"):  # a numpy array or scalar
         weights = weights.tolist()
@@ -81,8 +81,8 @@ def validate_distribution(weights) -> Distribution:
         weights = (weights,)
     try:
         w = tuple(map(float, weights))
-    except TypeError:
-        raise EmptyVector("need a nonempty 1-D weight vector") from None
+    except (TypeError, ValueError):  # nested, or an item float() rejects
+        raise EmptyVector("need a nonempty 1-D vector of numbers") from None
     if not w:
         raise EmptyVector("need a nonempty 1-D weight vector")
     if any(x != x for x in w):

@@ -2,8 +2,9 @@
 
 D_f is one pipeline, :func:`batch_f_divergence`, whose docstring gives
 its steps; :func:`f_divergence` is that pipeline for one row.  Both load
-numpy on first use; ``measure_pair``, ``renyi_from_hellinger`` and
-``renyi_divergence`` are plain ``math``."""
+numpy on first use; ``measure_pair`` and ``renyi_from_hellinger``, the
+one Renyi transform, with its log-domain forms past overflow, are plain
+``math``."""
 
 from __future__ import annotations
 
@@ -22,6 +23,8 @@ from .generators import Generator, check_alpha
 if TYPE_CHECKING:
     import numpy as np
 
+    from .bounds import ClassParams
+
 
 def f_divergence(gen: Generator, P: Distribution, Q: Distribution) -> float:
     """D_f(P || Q) of one pair: :func:`batch_f_divergence` of the pair as a
@@ -36,7 +39,7 @@ def batch_f_divergence(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarr
     weight arrays of shape (trials, n).
 
     Terms with p_i = 0 contribute q_i * f(0+), which may make a row +inf.
-    Raises LengthMismatch when p and q differ in shape, and
+    Raises LengthMismatch when p and q differ in shape or are not 2-D, and
     NotAbsolutelyContinuous when a row has p_i > 0 where q_i = 0: that D_f
     is not the sum over q_i > 0.
 
@@ -54,6 +57,8 @@ def batch_f_divergence(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarr
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise LengthMismatch(f"weight arrays differ in shape: {p.shape} vs {q.shape}")
+    if p.ndim != 2:
+        raise LengthMismatch(f"need 2-D weight arrays of shape (trials, n), got {p.shape}")
     support = q > 0
     # count_nonzero of a bool array costs about half of .all() on small ones
     if np.count_nonzero(support) == support.size:
@@ -92,38 +97,53 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def renyi_from_hellinger(alpha: float, h: float) -> float:
-    """Renyi divergence of order alpha from the Hellinger divergence of the
-    same order: log(1 + (alpha-1) h) / (alpha - 1).  h = +inf gives +inf
-    for alpha > 1; a log argument that is not > 0 (h = +inf with alpha < 1,
-    or NaN) raises LogDomain.  h = 0 gives +0.0 for every alpha."""
+def renyi_from_hellinger(
+    alpha: float, h: float, source: tuple[Distribution, Distribution] | ClassParams | None = None
+) -> float:
+    """The one Renyi transform: the Renyi divergence of order alpha from h,
+    the Hellinger divergence of the same order, log(1 + (alpha-1) h) /
+    (alpha - 1).  h = 0 gives +0.0; a log argument that is not > 0 (h = +inf
+    with alpha < 1, or NaN) raises LogDomain.  Where the value is +inf
+    (alpha > 1), ``source``, what h was measured on, gives it in the log
+    domain: a pair (P, Q), or a ``ClassParams`` whose bound h is."""
     alpha = check_alpha(alpha)
     x = (alpha - 1.0) * float(h)
     if not (x > -1.0):
         raise LogDomain(f"log argument 1 + {x!r} is not > 0")
     # log1p keeps the digits of a small x that 1 + x would round away
-    return math.log1p(x) / (alpha - 1.0) + 0.0  # -0.0 + 0.0 is +0.0
+    value = math.log1p(x) / (alpha - 1.0) + 0.0  # -0.0 + 0.0 is +0.0
+    if value == math.inf and source is not None:
+        if isinstance(source, tuple):
+            return _pair_log_domain(alpha, *source)
+        return _class_log_domain(alpha, source)
+    return value
 
 
-def renyi_divergence(
-    alpha: float, h: float, pair: tuple[Distribution, Distribution] | None = None
-) -> float:
-    """Renyi divergence of order alpha from h, the Hellinger divergence of
-    the same order: ``renyi_from_hellinger(alpha, h)``.  Where h overflowed
-    to +inf (alpha > 1) and ``pair`` = (P, Q) is the pair h was measured on,
-    the value is taken from the pair in the log domain instead:
-    log(sum p_i**alpha q_i**(1-alpha)) / (alpha - 1), the sum of exponentials
-    shifted by its largest term.  Without a pair an overflowed h gives +inf,
-    and a pair with mass where Q has none raises NotAbsolutelyContinuous."""
-    alpha = check_alpha(alpha)
-    if not (h == math.inf and alpha > 1.0 and pair is not None):
-        return renyi_from_hellinger(alpha, h)
-    P, Q = pair
+def _pair_log_domain(alpha: float, P: Distribution, Q: Distribution) -> float:
+    """log(sum p_i**alpha q_i**(1-alpha)) / (alpha - 1), the sum of
+    exponentials shifted by its largest term.  A pair with mass where Q has
+    none raises NotAbsolutelyContinuous."""
     check_absolutely_continuous(P, Q)
     logs = [alpha * math.log(p) + (1.0 - alpha) * math.log(q)
             for p, q in zip(P.values, Q.values) if p > 0.0]
     top = max(logs)
     return (top + math.log(math.fsum(math.exp(x - top) for x in logs))) / (alpha - 1.0)
+
+
+def _class_log_domain(alpha: float, params: ClassParams) -> float:
+    """log(1 + (alpha-1) h) / (alpha-1) for alpha > 1 from (delta, m, M),
+    where the Hellinger bound h overflows.  (alpha-1) h = x - b with
+    x = delta (M**alpha - 1)/(M - 1) and b = delta (1 - m**alpha)/(1 - m) <= 1;
+    here M**alpha is past float range, so M**alpha - 1 rounds to M**alpha
+    and log x = log delta + alpha log M - log(M - 1)."""
+    delta, m, M = params.delta, params.m, params.M
+    b = delta * (1.0 - m**alpha) / (1.0 - m)
+    log_x = math.log(delta) + alpha * math.log(M) - math.log(M - 1.0)
+    if log_x > 0.0:
+        log_arg = log_x + math.log1p((1.0 - b) * math.exp(-log_x))
+    else:
+        log_arg = math.log1p(math.exp(log_x) - b)
+    return log_arg / (alpha - 1.0)
 
 
 def measure_pair(P: Distribution, Q: Distribution) -> tuple[float, float, float]:

@@ -55,9 +55,10 @@ class Generator(Record):
         object.__setattr__(self, "mp_fn", mp_fn)
 
     def __call__(self, t: float) -> float:
-        """Evaluate f at a scalar t >= 0; t = 0 returns the stored limit."""
+        """Evaluate f at a scalar t >= 0; t = 0 returns the stored limit,
+        and t < 0 or NaN raises InvalidParams."""
         t = float(t)
-        if t < 0.0:
+        if not (t >= 0.0):  # a NaN fails this too
             raise InvalidParams(f"f is defined on t >= 0, got {t!r}")
         if t == 0.0:
             return self.f_at_zero

@@ -315,6 +315,12 @@ class TestRenyi:
         assert value == pytest.approx(689.624235351717, rel=1e-14)
         assert value == pytest.approx(float(self.mp_renyi(3, 0.1, 0.5, 1e300)), rel=1e-14)
 
+    def test_class_source_is_the_renyi_bound(self):
+        # the one transform takes the class's log-domain form past overflow
+        params = ClassParams(0.1, 0.5, 1e300)
+        assert renyi_from_hellinger(3, INF, params) == renyi_bound(3, params) == 689.6242353517168
+        assert renyi_from_hellinger(3, INF) == INF  # no source: the value stays +inf
+
     @pytest.mark.parametrize("alpha, delta, m, M", [
         (2.0, 0.1, 0.5, 1e200),     # f(M)/(M-1) is finite, f(M) overflows
         (1.5, 0.3, 0.0, 1e250),

@@ -81,6 +81,14 @@ class TestBound:
         assert code == 0
         assert rec["results"]["bound"] == "inf"
 
+    def test_cor1_at_infinite_M_exits_2_with_empty_stdout(self, capsys):
+        from revpinsker.cli import main
+
+        assert main(["bound", "--div", "kl", "--formula", "cor1",
+                     "--m", "0.5", "--M", "inf"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
     def test_M_inf_literal(self):
         rec = record_of(
             run("bound", "--div", "hellinger:0.5", "--formula", "cor2",
@@ -120,6 +128,15 @@ class TestDivergence:
     def test_not_absolutely_continuous_exit_2(self):
         result = run("divergence", "--div", "kl", "--p", "0.5,0.5", "--q", "1,0")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("weights", ["0.5,,0.5", "nan,1"], ids=["empty-field", "nan"])
+    def test_weight_that_does_not_parse_exits_3(self, weights, capsys):
+        # every field follows the number rule of --delta, --m and --M
+        from revpinsker.cli import main
+
+        assert main(["divergence", "--div", "kl", "--p", weights, "--q", "0.5,0.5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("parse error: ")
 
 
 class TestExtremal:
@@ -298,7 +315,7 @@ class TestRenyi:
     result passed through renyi_from_hellinger, bit for bit, where that is
     finite; the class bounds (``bound`` thm1 and cor1, ``verify``, ``fuzz``)
     print ``renyi_bound`` itself, and a pair whose Hellinger value overflows
-    prints ``renyi_divergence``'s log-domain sum."""
+    prints the transform's log-domain sum over the pair."""
 
     DELTA, M_LOW, M_HIGH = 0.3985, 0.396, 79.856
     CLASS = ("--delta", "0.3985", "--m", "0.396", "--M", "79.856")

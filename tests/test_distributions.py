@@ -140,6 +140,12 @@ def test_validate_rejects_nested_input(weights):
         validate_distribution(weights)
 
 
+def test_validate_rejects_an_item_that_is_not_a_number():
+    # float("a") raises ValueError, which is a domain error here
+    with pytest.raises(EmptyVector):
+        validate_distribution(["a", 1])
+
+
 def test_validate_rejects_nan():
     with pytest.raises(NegativeWeight):
         validate_distribution([0.5, math.nan, 0.5])

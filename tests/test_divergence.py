@@ -14,7 +14,6 @@ from revpinsker import (
     hellinger_generator,
     kl_generator,
     measure_pair,
-    renyi_divergence,
     renyi_from_hellinger,
     total_variation,
     tv_generator,
@@ -248,6 +247,13 @@ def test_batch_checks_shapes_before_the_support(gen):
         batch_f_divergence(gen, np.full((2, 3), 0.5), np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("shape", [(2,), (1, 1, 2)], ids=["1-D", "3-D"])
+def test_batch_rejects_arrays_that_are_not_2d(shape):
+    # a 1-D pair raised IndexError and a 3-D one summed to a 2-D result
+    with pytest.raises(LengthMismatch):
+        batch_f_divergence(kl_generator(), np.full(shape, 0.5), np.full(shape, 0.5))
+
+
 def test_chi2_closed_form(pair):
     P, Q = pair
     direct = sum(
@@ -305,8 +311,7 @@ def test_renyi_from_hellinger_rejects_bad_alpha(alpha):
 @pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
 def test_renyi_divergence_of_finite_hellinger_is_the_transform(alpha, pair):
     h = f_divergence(hellinger_generator(alpha), *pair)
-    assert renyi_divergence(alpha, h, pair) == renyi_from_hellinger(alpha, h)
-    assert renyi_divergence(alpha, h) == renyi_from_hellinger(alpha, h)
+    assert renyi_from_hellinger(alpha, h, pair) == renyi_from_hellinger(alpha, h)
 
 
 def test_renyi_divergence_past_hellinger_overflow():
@@ -320,15 +325,15 @@ def test_renyi_divergence_past_hellinger_overflow():
     with mpmath.workdps(50):
         terms = (mpmath.mpf(p) ** 3 / mpmath.mpf(q) ** 2 for p, q in zip(P.values, Q.values))
         exact = mpmath.log(mpmath.fsum(terms)) / 2
-    assert abs(renyi_divergence(3, h, (P, Q)) - exact) <= 1e-12
-    assert renyi_divergence(3, h) == INF  # no pair: a bound stays +inf
+    assert abs(renyi_from_hellinger(3, h, (P, Q)) - exact) <= 1e-12
+    assert renyi_from_hellinger(3, h) == INF  # no source: the value stays +inf
 
 
 def test_renyi_divergence_requires_absolute_continuity():
     P = validate_distribution([0.5, 0.5])
     Q = validate_distribution([1.0, 0.0])
     with pytest.raises(NotAbsolutelyContinuous):
-        renyi_divergence(2, INF, (P, Q))
+        renyi_from_hellinger(2, INF, (P, Q))
 
 
 def test_measure_pair(pair):
