@@ -26,7 +26,9 @@ and each generator's ``search_sup`` outcome (best value and pair, bound,
 gap, violations and history).  The Renyi value of a pair, its Hellinger
 value through ``renyi_from_hellinger`` with the pair as source, is dumped
 per order on each sampled class's extremal pair and on ``OVERFLOW_PAIR``,
-whose Hellinger-3 value overflows.  Runs in process and is deterministic.
+whose Hellinger-3 value overflows.  ``batch_f_divergence`` is also dumped
+per generator on each pair of ``BAD_WEIGHTS``, arrays that are not weights.
+Runs in process and is deterministic.
 """
 
 import argparse
@@ -81,6 +83,10 @@ SAMPLE_SHAPES = ((3, 2), (6, 7), (12, 13), (12, 40), (6, 300))
 SAMPLE_SEED = 1
 #: a pair whose sum p**3 / q**2 is about 1e599, past float range
 OVERFLOW_PAIR = ((0.1, 0.1, 0.8), (0.2, 1e-301, 0.8))
+#: (p, q) with a negative or NaN entry, one with a q = 0 atom
+BAD_WEIGHTS = (([[-0.5, 1.5]], [[0.5, 0.5]]), ([[math.nan, 1.0]], [[0.5, 0.5]]),
+               ([[0.5, 0.5]], [[-0.5, 1.5]]), ([[0.5, 0.5]], [[math.nan, 0.5]]),
+               ([[-0.5, 1.5, 0.0]], [[0.5, 0.5, 0.0]]))
 REPORT_FIELDS = ("measured_delta", "measured_m", "measured_M", "deviation_delta",
                  "deviation_m", "deviation_M", "passed", "divergences", "bounds", "gaps")
 
@@ -187,6 +193,10 @@ def main(argv: list[str] | None = None) -> int:
         for delta, m, M in SAMPLE_CLASSES:
             dump_oracle(gens, delta, m, M)
         dump_renyi_pair(OVERFLOW_PAIR, *map(validate_distribution, OVERFLOW_PAIR))
+        for p, q in BAD_WEIGHTS:
+            for gen in gens:
+                emit("batch_f_divergence.bad_weight", (gen.name, p, q),
+                     lambda: batch_f_divergence(gen, np.array(p), np.array(q)).tolist())
     return 0
 
 

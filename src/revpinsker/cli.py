@@ -30,6 +30,7 @@ from .bounds import (
     tv_cap,
     vajda_bound,
 )
+from .distributions import validate_distribution
 from .divergence import f_divergence, measure_pair, renyi_from_hellinger
 from .errors import RevPinskerError
 from .extremal import MEMBERSHIP_TOLERANCE, ternary_extremal, verify_membership
@@ -138,14 +139,15 @@ def _emit_record(record: dict, fmt: str) -> None:
                 print(f"{section}.{key},{_fmt(value, csv=True)}")
 
 
-def _record(command: str, inputs: dict, results: dict, status: str = "n/a") -> dict:
-    return {"command": command, "inputs": inputs, "results": results, "status": status}
+def _record(args, inputs: tuple[str, ...], results: dict, status: str = "n/a") -> dict:
+    """The record of ``args.command``; its inputs echo the parsed arguments
+    named in ``inputs``, in that order."""
+    return {"command": args.command, "inputs": {name: getattr(args, name) for name in inputs},
+            "results": results, "status": status}
 
 
 def _cmd_bound(args) -> int:
     gen, report = _resolve_divergence(args.div)
-    inputs = {"div": args.div, "formula": args.formula, "delta": args.delta,
-              "m": args.m, "M": args.M}
     if args.formula == "thm1":
         if args.delta is None or args.m is None or args.M is None:
             raise ParseError("thm1 needs --delta, --m and --M")
@@ -160,23 +162,19 @@ def _cmd_bound(args) -> int:
         if args.delta is None:
             raise ParseError("cor2 needs --delta")
         value = report(vajda_bound(gen, args.delta))
-    _emit_record(_record("bound", inputs, {"bound": value}), args.format)
+    _emit_record(_record(args, ("div", "formula", "delta", "m", "M"), {"bound": value}),
+                 args.format)
     return EXIT_OK
 
 
 def _cmd_divergence(args) -> int:
     gen, report = _resolve_divergence(args.div)
-    from .distributions import validate_distribution
-
     P = validate_distribution(_parse_weights(args.p))
     Q = validate_distribution(_parse_weights(args.q))
     value = report(f_divergence(gen, P, Q), (P, Q))
     delta, m, M = measure_pair(P, Q)
-    record = _record(
-        "divergence",
-        {"div": args.div, "p": args.p, "q": args.q},
-        {"divergence": value, "delta": delta, "m": m, "M": M},
-    )
+    record = _record(args, ("div", "p", "q"),
+                     {"divergence": value, "delta": delta, "m": m, "M": M})
     _emit_record(record, args.format)
     return EXIT_OK
 
@@ -184,24 +182,14 @@ def _cmd_divergence(args) -> int:
 def _cmd_extremal(args) -> int:
     params = ClassParams(delta=args.delta, m=args.m, M=args.M)
     pair = ternary_extremal(params)
-    record = _record(
-        "extremal",
-        {"delta": args.delta, "m": args.m, "M": args.M},
-        {
-            "P": list(pair.P.values),
-            "Q": list(pair.Q.values),
-            "q": pair.q,
-            "p": pair.p,
-            "t": pair.t,
-        },
-    )
+    record = _record(args, ("delta", "m", "M"),
+                     {"P": list(pair.P.values), "Q": list(pair.Q.values),
+                      "q": pair.q, "p": pair.p, "t": pair.t})
     _emit_record(record, args.format)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    from .distributions import validate_distribution
-
     P = validate_distribution(_parse_weights(args.p))
     Q = validate_distribution(_parse_weights(args.q))
     params = ClassParams(delta=args.delta, m=args.m, M=args.M)
@@ -222,13 +210,8 @@ def _cmd_verify(args) -> int:
         results[f"divergence.{gen.name}"] = value
         results[f"bound.{gen.name}"] = bound
         results[f"gap.{gen.name}"] = bound_gap(bound, value)
-    record = _record(
-        "verify",
-        {"p": args.p, "q": args.q, "delta": args.delta, "m": args.m,
-         "M": args.M, "tol": args.tol},
-        results,
-        status="pass" if pair.passed else "fail",
-    )
+    record = _record(args, ("p", "q", "delta", "m", "M", "tol"), results,
+                     status="pass" if pair.passed else "fail")
     _emit_record(record, args.format)
     return EXIT_OK
 
@@ -286,14 +269,10 @@ def _cmd_fuzz(args) -> int:
     # report is monotone, so it keeps the ordering and the violation count
     best = report(outcome.best_value, outcome.best_pair)
     bound = report(outcome.bound, params)
-    record = _record(
-        "fuzz",
-        {"div": args.div, "delta": args.delta, "m": args.m, "M": args.M,
-         "trials": args.trials, "seed": args.seed, "n": args.n},
-        {"best_value": best, "bound": bound, "gap": bound_gap(bound, best),
-         "violations": outcome.violations},
-        status="pass" if outcome.violations == 0 else "fail",
-    )
+    record = _record(args, ("div", "delta", "m", "M", "trials", "seed", "n"),
+                     {"best_value": best, "bound": bound, "gap": bound_gap(bound, best),
+                      "violations": outcome.violations},
+                     status="pass" if outcome.violations == 0 else "fail")
     _emit_record(record, args.format)
     return EXIT_OK if outcome.violations == 0 else EXIT_VIOLATION
 

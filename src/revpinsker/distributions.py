@@ -72,13 +72,16 @@ def validate_distribution(weights) -> Distribution:
     """Validate a weight vector and return the normalized Distribution.
 
     Takes a scalar (one atom), a sequence or a 1-D array.  Rejects empty or
-    nested input, items that are not numbers, NaN and negative weights, and
-    sums further than SUM_TOLERANCE from one.
+    nested input, text (``str``, ``bytes``, ``bytearray``), items that are
+    not numbers, NaN and negative weights, and sums further than
+    SUM_TOLERANCE from one.
     """
     if hasattr(weights, "tolist"):  # a numpy array or scalar
         weights = weights.tolist()
     if isinstance(weights, (int, float)):
         weights = (weights,)
+    elif isinstance(weights, (str, bytes, bytearray)):  # would iterate by character
+        raise EmptyVector("need a nonempty 1-D vector of numbers, not text")
     try:
         w = tuple(map(float, weights))
     except (TypeError, ValueError):  # nested, or an item float() rejects

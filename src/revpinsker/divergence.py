@@ -1,7 +1,8 @@
 """Evaluation of f-divergences on discrete distribution pairs.
 
 D_f is one pipeline, :func:`batch_f_divergence`, whose docstring gives
-its steps; :func:`f_divergence` is that pipeline for one row.  Both load
+its steps; :func:`f_divergence` is that pipeline for one pair of
+Distributions, whose weights need no check.  Both load
 numpy on first use; ``measure_pair`` and ``renyi_from_hellinger``, the
 one Renyi transform, with its log-domain forms past overflow, are plain
 ``math``."""
@@ -13,11 +14,12 @@ from typing import TYPE_CHECKING
 
 from .distributions import (
     Distribution,
+    _check_lengths,
     check_absolutely_continuous,
     ratio_extremes,
     total_variation,
 )
-from .errors import LengthMismatch, LogDomain, NotAbsolutelyContinuous
+from .errors import LengthMismatch, LogDomain, NegativeWeight, NotAbsolutelyContinuous
 from .generators import Generator, check_alpha
 
 if TYPE_CHECKING:
@@ -28,10 +30,12 @@ if TYPE_CHECKING:
 
 def f_divergence(gen: Generator, P: Distribution, Q: Distribution) -> float:
     """D_f(P || Q) of one pair: :func:`batch_f_divergence` of the pair as a
-    single row."""
+    single row.  ``validate_distribution`` has made the weights
+    nonnegative and not NaN, so only the lengths are checked here."""
     import numpy as np
 
-    return float(batch_f_divergence(gen, np.array([P.values]), np.array([Q.values]))[0])
+    _check_lengths(P, Q)
+    return float(_f_rows(gen, np.array([P.values]), np.array([Q.values]))[0])
 
 
 def batch_f_divergence(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -39,7 +43,8 @@ def batch_f_divergence(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarr
     weight arrays of shape (trials, n).
 
     Terms with p_i = 0 contribute q_i * f(0+), which may make a row +inf.
-    Raises LengthMismatch when p and q differ in shape or are not 2-D, and
+    Raises LengthMismatch when p and q differ in shape or are not 2-D,
+    NegativeWeight when an entry of p or q is negative or NaN, and
     NotAbsolutelyContinuous when a row has p_i > 0 where q_i = 0: that D_f
     is not the sum over q_i > 0.
 
@@ -59,8 +64,18 @@ def batch_f_divergence(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarr
         raise LengthMismatch(f"weight arrays differ in shape: {p.shape} vs {q.shape}")
     if p.ndim != 2:
         raise LengthMismatch(f"need 2-D weight arrays of shape (trials, n), got {p.shape}")
-    support = q > 0
     # count_nonzero of a bool array costs about half of .all() on small ones
+    if np.count_nonzero(p >= 0.0) != p.size or np.count_nonzero(q >= 0.0) != q.size:
+        raise NegativeWeight("weights must be >= 0 and not NaN")
+    return _f_rows(gen, p, q)
+
+
+def _f_rows(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The rows of :func:`batch_f_divergence` from its support rule on, for
+    2-D float weight arrays of one shape that are >= 0."""
+    import numpy as np
+
+    support = q > 0.0
     if np.count_nonzero(support) == support.size:
         ratios = p / q
     elif (p[~support] > 0).any():

@@ -9,10 +9,14 @@ In-class sampling never uses rejection: a sample starts from the ternary
 extremal pair, splits each atom into randomly weighted sub-atoms sharing the
 parent's density ratio, then transfers mass between same-side atoms in ways
 that provably fix (delta, m, M).  The sampler is vectorized over the rows of
-a batch: the split normalizes the weights with one ``np.bincount`` over
-(row, parent) cells, and each transfer step picks donor and recipient from
-the row's contiguous run of band members in ``np.flatnonzero(band)``, so a
-step costs O(trials) whatever the support size.
+a batch and works in two index spaces: each atom's place in the batch and
+each band member's place in the list of members.  The split normalizes the
+weights with one ``np.bincount`` over (row, parent) cells.  The band
+members are found in the drawn codes alone, and a row's members of one
+band form a contiguous run of that list.  Each transfer step picks donor
+and recipient from such a run and moves mass between the members' own
+masses, gathered once before the steps and scattered back once after
+them, so a step costs O(trials) whatever the support size.
 
 The sampler writes its intermediates with ``out=`` into a per-thread
 scratch arena (``_scratch``, a ``threading.local``): one flat array per
@@ -20,19 +24,19 @@ name, grown to the largest size asked and reused across chunks and calls,
 so a call no longer frees its working memory for the next one to fault
 back in.  Only the returned p and q are fresh arrays, owned by the caller;
 threads never share a buffer.  The arena keeps what its largest chunk
-needed, every transfer step's uniforms included: 1.01 MB per thread after
-a 2 000-row chunk at n = 6, and 20.8 MB after a 20 000-row chunk at n = 12
+needed, every transfer step's uniforms included: 0.94 MB per thread after
+a 2 000-row chunk at n = 6, and 20.75 MB after a 20 000-row chunk at n = 12
 (the sum of its buffers, measured at delta = 0.25, m = 0.5, M = 2).
 
 The per-call set-up reads the extremal pair's (at most three) atoms in
-plain Python and makes one array of each table: ``parent_of`` and the two
-bands' membership by atom code.  The (trials, n) and (trials, k0) arrays
-are then written a column at a time, numpy running down the rows: the
-anchors' codes, the free atoms' drawn codes and each parent's share
-mass / sums, with the parent's mass as a Python float.  A 2-D assignment
-or broadcast divide would run its inner loop along the rows, 2 to 12
-items long, and pay a fixed cost per row.  ``batch_f_divergence`` sums
-a sampled batch of fewer than 8 atoms a column at a time as well.
+plain Python and makes one array of each band's membership by drawn code.
+The (trials, n) and (trials, k0) arrays are then written a column at a
+time, numpy running down the rows: each atom's (row, parent) cell and each
+parent's share mass / sums, with the parent's mass as a Python float.  A
+2-D assignment or broadcast divide would run its inner loop along the
+rows, 2 to 12 items long, and pay a fixed cost per row.
+``batch_f_divergence`` sums a sampled batch of fewer than 8 atoms a column
+at a time as well.
 
 ``search_sup`` seeds its best with the extremal pair, which attains the
 bound, and samples in chunks of 20 000 rows; its history holds one
@@ -181,15 +185,6 @@ class _Scratch(threading.local):
             buf = self.arrays[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
 
-    def arange(self, size: int) -> np.ndarray:
-        """0, 1, ..., size - 1, kept from call to call."""
-        buf = self.arrays.get("arange")
-        if buf is None or buf.size < size:
-            import numpy as np
-
-            buf = self.arrays["arange"] = np.arange(size)
-        return buf[:size]
-
 
 _scratch = _Scratch()
 
@@ -209,25 +204,30 @@ def _sample_batch(
     every chunk.
 
     Split: each row keeps one anchor atom per parent atom of ``base`` (with
-    Q mass) and gives each other atom a random parent.  One ``np.bincount``
-    sums the exponential (gamma(1)) weights per (row, parent) cell; an atom
-    takes the share ``e / sums[cell]`` of its parent's P and Q mass, so it
-    keeps the parent's ratio.
+    Q mass) in columns 0 .. k0 - 1 and gives each of the other n - k0 atoms
+    a random parent.  One ``np.bincount`` sums the exponential (gamma(1))
+    weights per (row, parent) cell; an atom takes the share
+    ``e / sums[cell]`` of its parent's P and Q mass, so it keeps the
+    parent's ratio.
 
     Transfers: every non-anchor atom is on the low band (ratio in [m, 1]) or
-    on the high band ([1, M]).  A row's members of one band form a contiguous
-    run of ``np.flatnonzero(band)`` that starts at ``cumsum(counts) -
-    counts``; the runs are found once.  Each step draws, for every row with
-    at least two members in a band, a donor uniformly from the run and a
-    recipient uniformly from the rest of it, and moves
+    on the high band ([1, M]), which its drawn code fixes.  Entry i of the
+    (trials, n - k0) draws is atom (i // (n - k0)) * n + k0 + i % (n - k0)
+    of the batch, so ``np.flatnonzero`` of a band's table over the draws
+    lists that band's members, and a row's members of one band form a
+    contiguous run of the list that starts at ``cumsum(counts) - counts``;
+    the runs are found once.  Each step draws, for every row with at least
+    two members in a band, a donor position uniformly from the run and a
+    recipient position uniformly from the rest of it, and moves
     eps = max(u * STEP_SCALE * min(give, take), 0) of P mass between them
-    through a flat view of p.  A move keeps both ratios in the band, leaves
-    the anchors at m and M and leaves sum |p - q| unchanged; a step costs
-    O(trials) whatever n is.  At delta = 0 the base is P = Q = (1): the
-    split gives p == q bit for bit, and every transfer has eps = 0.
+    in the members' masses ``pm``, which go back into p after the last
+    step.  A move keeps both ratios in the band, leaves the anchors at m
+    and M and leaves sum |p - q| unchanged; a step costs O(trials) whatever
+    n is.  At delta = 0 the base is P = Q = (1): the split gives p == q bit
+    for bit, and every transfer has eps = 0.
 
     Intermediates are written with ``out=`` into the calling thread's
-    ``_scratch``; only ``rng.integers``, ``np.bincount`` and
+    ``_scratch``; only ``rng.integers``, ``np.arange``, ``np.bincount`` and
     ``np.flatnonzero``, which take no ``out=``, allocate theirs, and the
     returned p and q are fresh arrays, owned by the caller.  Takes pass
     ``mode="clip"``: with ``out=`` the default mode writes through a
@@ -237,34 +237,29 @@ def _sample_batch(
 
     s = _scratch
     # the parents are base's atoms with Q mass; an atom's index in base is
-    # its side of 1: 0 below, 1 above, 2 at ratio 1.  k0 <= 3, so the tables
-    # below are built in plain Python and each becomes one array.
+    # its side of 1: 0 below, 1 above, 2 at ratio 1.  k0 <= 3, so the band
+    # tables below are built in plain Python and each becomes one array.
     base_p, base_q = base.P.values, base.Q.values
     active = [j for j, w in enumerate(base_q) if w > 0.0]
     k0 = len(active)
 
-    # each atom gets a code: 2j or 2j + 1 for a free atom of parent j, and
-    # 2 k0 + j for parent j's anchor.  A free atom's band is its parent's
-    # side of 1, or code & 1 when the parent has ratio 1; drawing that side
+    # a free atom draws a code c < 2 k0: parent c >> 1, and band c & 1 when
+    # that parent has ratio 1, else the parent's side of 1; drawing that side
     # once keeps transfers from flipping an atom across 1, which would change
     # |p - q|.  Anchors are on no band and never move.
-    free = range(2 * k0)
-    band_of = [c & 1 if active[c >> 1] == 2 else active[c >> 1] for c in free]
-    parent_of = np.array([c >> 1 for c in free] + list(range(k0)), dtype=np.intp)
-    anchors = [False] * k0
-    band_tables = [np.array([b == k for b in band_of] + anchors) for k in (0, 1)]
-    # code and share are written a column at a time (see the module docstring)
-    code = s.get("code", (trials, n), np.intp)
-    for j in range(k0):
-        code[:, j] = 2 * k0 + j
+    band_of = [c & 1 if active[c >> 1] == 2 else active[c >> 1] for c in range(2 * k0)]
+    band_tables = [np.array([b == k for b in band_of]) for k in (0, 1)]
     draws = rng.integers(0, 2 * k0, size=(trials, n - k0))
-    for j, col in enumerate(draws.T, k0):
-        code[:, j] = col
-
     e = rng.standard_exponential(out=s.get("e", (trials, n)))
-    cell = parent_of.take(code, out=s.get("cell", (trials, n), np.intp), mode="clip")
-    row_offset = np.multiply(s.arange(trials), k0, out=s.get("row_offset", (trials,), np.intp))
-    cell += row_offset[:, None]
+    # cell = row * k0 + parent, written a column at a time (see the module
+    # docstring): anchor column j has parent j, free column c the parent
+    # of draws[:, c - k0]
+    row_offset = np.arange(0, k0 * trials, k0)
+    cell = s.get("cell", (trials, n), np.intp)
+    for j in range(k0):
+        np.add(row_offset, j, out=cell[:, j])
+    for j, col in enumerate(draws.T, k0):
+        np.add(np.right_shift(col, 1, out=cell[:, j]), row_offset, out=cell[:, j])
     sums = np.bincount(cell.ravel(), weights=e.ravel(), minlength=k0 * trials)
     sums = sums.reshape(trials, k0)
     share = s.get("share", (trials, k0))
@@ -279,14 +274,19 @@ def _sample_batch(
 
     p, q = spread(base_p), spread(base_q)
 
-    # the low band's runs, then the high band's, one run per row and band
-    in_band = s.get("in_band", (trials, n), bool)
-    runs = [np.flatnonzero(table.take(code, out=in_band, mode="clip")) for table in band_tables]
+    # the low band's runs, then the high band's, one run per row and band,
+    # found in draws: its entry i, in row i // (n - k0), is atom
+    # i + (i // (n - k0) + 1) * k0 of the batch
+    in_band = s.get("in_band", draws.shape, bool)
+    runs = [np.flatnonzero(table.take(draws, out=in_band, mode="clip")) for table in band_tables]
     n_low = runs[0].size
-    members = np.concatenate(runs, out=s.get("members", (n_low + runs[1].size,), np.intp))
-    # row of each member, the high band's shifted by trials: one bincount
-    # counts both bands' runs
-    row = np.floor_divide(members, n, out=s.get("row", members.shape, np.intp))
+    drawn = np.concatenate(runs, out=s.get("drawn", (n_low + runs[1].size,), np.intp))
+    row = np.floor_divide(drawn, n - k0, out=s.get("row", drawn.shape, np.intp))
+    members = np.multiply(row, k0, out=s.get("members", drawn.shape, np.intp))
+    members += drawn
+    members += k0
+    # the high band's rows shifted by trials: one bincount counts both
+    # bands' runs
     row[n_low:] += trials
     counts = np.bincount(row, minlength=2 * trials)
     start = np.cumsum(counts, out=s.get("run_start", (2 * trials,), np.intp))
@@ -297,20 +297,22 @@ def _sample_batch(
     np.copyto(count, counts.take(ready, out=s.get("count_int", (size,), np.intp), mode="clip"))
     count_less_one = np.subtract(count, 1.0, out=s.get("count_less_one", (size,)))
     start = start.take(ready, out=s.get("start", (size,), np.intp), mode="clip")
-    # a member's ratio stays in [floor_q / q, ceil_q / q]:
-    # give = p - floor_q at the donor, take = ceil_q - p at the recipient
+    # the steps run on the members' own masses pm, indexed by member
+    # position, and pm goes back into p once, after the last step.  A
+    # member's ratio stays in [floor_q / q, ceil_q / q]: give = pm - floor_q
+    # at the donor, take = ceil_q - pm at the recipient
+    pf = p.reshape(-1)
+    pm = pf.take(members, out=s.get("pm", members.shape), mode="clip")
     floor_q = q.take(members, out=s.get("floor_q", members.shape), mode="clip")
     ceil_q = s.get("ceil_q", members.shape)
     np.copyto(ceil_q, floor_q)
     floor_q[:n_low] *= params.m
     ceil_q[n_low:] *= params.M
 
-    pf = p.reshape(-1)
     # every step's uniforms in one draw: the same stream as one (3, size)
     # draw per step
     uniforms = rng.random(out=s.get("u", (steps, 3, size)))
-    d, r, donor, recipient = (s.get(name, (size,), np.intp)
-                              for name in ("d", "r", "donor", "recipient"))
+    d, r = s.get("d", (size,), np.intp), s.get("r", (size,), np.intp)
     p_donor, p_recipient, give, take, eps = (
         s.get(name, (size,)) for name in ("p_donor", "p_recipient", "give", "take", "eps"))
     r_skips = s.get("r_skips", (size,), bool)
@@ -322,16 +324,17 @@ def _sample_batch(
         r += np.greater_equal(r, d, out=r_skips)
         d += start
         r += start
-        pf.take(members.take(d, out=donor, mode="clip"), out=p_donor, mode="clip")
-        pf.take(members.take(r, out=recipient, mode="clip"), out=p_recipient, mode="clip")
+        pm.take(d, out=p_donor, mode="clip")
+        pm.take(r, out=p_recipient, mode="clip")
         np.subtract(p_donor, floor_q.take(d, out=give, mode="clip"), out=give)
         np.subtract(ceil_q.take(r, out=take, mode="clip"), p_recipient, out=take)
         np.minimum(give, take, out=eps)
         eps *= u[2]
         eps *= STEP_SCALE
         np.maximum(eps, 0.0, out=eps)
-        pf[donor] = np.subtract(p_donor, eps, out=p_donor)
-        pf[recipient] = np.add(p_recipient, eps, out=p_recipient)
+        pm[d] = np.subtract(p_donor, eps, out=p_donor)
+        pm[r] = np.add(p_recipient, eps, out=p_recipient)
+    pf[members] = pm
     return p, q
 
 

@@ -146,6 +146,15 @@ def test_validate_rejects_an_item_that_is_not_a_number():
         validate_distribution(["a", 1])
 
 
+@pytest.mark.parametrize("text", ["1", "11", "0.5", b"1", bytearray(b"1")],
+                         ids=["str-1", "str-11", "str-0.5", "bytes", "bytearray"])
+def test_validate_rejects_text(text):
+    # a str or bytes used to be iterated: "1" gave Distribution([1.0]) and
+    # b"1" the byte 49
+    with pytest.raises(EmptyVector):
+        validate_distribution(text)
+
+
 def test_validate_rejects_nan():
     with pytest.raises(NegativeWeight):
         validate_distribution([0.5, math.nan, 0.5])

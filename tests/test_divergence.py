@@ -20,7 +20,13 @@ from revpinsker import (
     validate_distribution,
 )
 from revpinsker.divergence import _row_sums
-from revpinsker.errors import InvalidAlpha, LengthMismatch, LogDomain, NotAbsolutelyContinuous
+from revpinsker.errors import (
+    InvalidAlpha,
+    LengthMismatch,
+    LogDomain,
+    NegativeWeight,
+    NotAbsolutelyContinuous,
+)
 
 
 @pytest.fixture
@@ -252,6 +258,25 @@ def test_batch_rejects_arrays_that_are_not_2d(shape):
     # a 1-D pair raised IndexError and a 3-D one summed to a 2-D result
     with pytest.raises(LengthMismatch):
         batch_f_divergence(kl_generator(), np.full(shape, 0.5), np.full(shape, 0.5))
+
+
+#: (p, q) that are not weights; each returned numbers or raised
+#: NotAbsolutelyContinuous before it was checked
+BAD_WEIGHTS = [
+    ([[-0.5, 1.5]], [[0.5, 0.5]]),
+    ([[math.nan, 1.0]], [[0.5, 0.5]]),
+    ([[0.5, 0.5]], [[-0.5, 1.5]]),
+    ([[0.5, 0.5]], [[math.nan, 0.5]]),
+    ([[-0.5, 1.5, 0.0]], [[0.5, 0.5, 0.0]]),  # a q = 0 atom: the masked ratios
+]
+
+
+@pytest.mark.parametrize("gen", BATCH_GENERATORS[:3], ids=lambda g: g.name)
+@pytest.mark.parametrize("p, q", BAD_WEIGHTS,
+                         ids=["p-negative", "p-nan", "q-negative", "q-nan", "p-negative-q-zero"])
+def test_batch_rejects_negative_or_nan_weights(gen, p, q):
+    with pytest.raises(NegativeWeight):
+        batch_f_divergence(gen, np.array(p), np.array(q))
 
 
 def test_chi2_closed_form(pair):

@@ -217,6 +217,38 @@ def test_sampled_rows_lie_in_class(m, M, cap_fraction, n, steps, seed):
         assert dev.max() <= 1e-9
 
 
+@given(
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.floats(min_value=1.0, max_value=1e6, exclude_min=True),
+    st.floats(min_value=1e-200, max_value=1.0),
+    st.integers(min_value=3, max_value=12),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_transfers_touch_only_runs_of_two_or_more(m, M, cap_fraction, n, steps, seed):
+    # the same draws with and without transfer steps: q and the anchors
+    # never move, nor does an atom alone on its band in its row
+    params = ClassParams(cap_fraction * tv_cap(m, M), m, M)
+    base = ternary_extremal(params)
+    trials = 64
+    p0, q0 = _sample_batch(params, base, n, trials, np.random.default_rng(seed), 0)
+    p, q = _sample_batch(params, base, n, trials, np.random.default_rng(seed), steps)
+    assert q.tobytes() == q0.tobytes()
+    # the sampler's first draw is each free atom's code c: parent c >> 1
+    # of the base atoms with Q mass, whose index in base is its side of 1
+    # (0 below, 1 above, 2 at ratio 1); band c & 1 at ratio 1, else that side
+    active = [j for j, w in enumerate(base.Q.values) if w > 0.0]
+    k0 = len(active)
+    codes = np.random.default_rng(seed).integers(0, 2 * k0, size=(trials, n - k0))
+    band = np.array([c & 1 if active[c >> 1] == 2 else active[c >> 1]
+                     for c in range(2 * k0)])[codes]
+    members = np.stack([np.count_nonzero(band == k, axis=1) for k in (0, 1)], axis=1)
+    alone = np.take_along_axis(members, band, axis=1) < 2
+    assert p[:, :k0].tobytes() == p0[:, :k0].tobytes()
+    assert p[:, k0:][alone].tobytes() == p0[:, k0:][alone].tobytes()
+
+
 def outcome(fn, *args):
     """fn(*args) as the hex of its float (bit for bit, sign of zero included),
     or the type of the domain error it raised."""
