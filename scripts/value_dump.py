@@ -27,8 +27,9 @@ gap, violations and history).  The Renyi value of a pair, its Hellinger
 value through ``renyi_from_hellinger`` with the pair as source, is dumped
 per order on each sampled class's extremal pair and on ``OVERFLOW_PAIR``,
 whose Hellinger-3 value overflows.  ``batch_f_divergence`` is also dumped
-per generator on each pair of ``BAD_WEIGHTS``, arrays that are not weights.
-Runs in process and is deterministic.
+per generator on each pair of ``BAD_WEIGHTS``, arrays that are not weights,
+and ``validate_distribution`` on each of ``NOT_WEIGHT_VECTORS``, a mapping,
+a set and lists with text items.  Runs in process and is deterministic.
 """
 
 import argparse
@@ -87,6 +88,9 @@ OVERFLOW_PAIR = ((0.1, 0.1, 0.8), (0.2, 1e-301, 0.8))
 BAD_WEIGHTS = (([[-0.5, 1.5]], [[0.5, 0.5]]), ([[math.nan, 1.0]], [[0.5, 0.5]]),
                ([[0.5, 0.5]], [[-0.5, 1.5]]), ([[0.5, 0.5]], [[math.nan, 0.5]]),
                ([[-0.5, 1.5, 0.0]], [[0.5, 0.5, 0.0]]))
+#: inputs that are no weight vector: a dict (its keys are floats), a set and text items
+NOT_WEIGHT_VECTORS = ({0.25: 0, 0.75: 0}, {0.75, 0.25}, ["0.5", "0.5"], [b"0.5", 0.5],
+                      [" 1 "])
 REPORT_FIELDS = ("measured_delta", "measured_m", "measured_M", "deviation_delta",
                  "deviation_m", "deviation_M", "passed", "divergences", "bounds", "gaps")
 
@@ -197,6 +201,8 @@ def main(argv: list[str] | None = None) -> int:
             for gen in gens:
                 emit("batch_f_divergence.bad_weight", (gen.name, p, q),
                      lambda: batch_f_divergence(gen, np.array(p), np.array(q)).tolist())
+        for weights in NOT_WEIGHT_VECTORS:
+            emit("validate_distribution", (weights,), lambda: validate_distribution(weights))
     return 0
 
 

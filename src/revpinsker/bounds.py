@@ -20,12 +20,15 @@ NaN).  A limit at +inf that IEEE would form as inf / inf, hence NaN, is
 taken in place by the function that meets it (``tv_cap``,
 ``chord_slope_gap``, ``log_over_x_minus_1``).
 
-Every function that needs a non-empty class with finite M asks the one class
-guard, ``ClassParams.check_finite``, which raises Infeasible and then
-UnboundedM.  kl_bound_ab, whose b = +inf is m = 0, raises Infeasible unless
-``feasible`` holds for its class (delta, 1/b, 1/a).  The raw-float domain
-checks on delta and on 0 <= m <= 1 <= M each have one helper, shared by
-``ClassParams`` and the float-argument bounds.
+A class is judged once, when it is built: ``ClassParams`` runs ``feasible``
+in its constructor and keeps the verdict.  Every function that needs a
+non-empty class with finite M asks the one class guard,
+``ClassParams.check_finite``, which reads that verdict and raises Infeasible,
+then UnboundedM.  kl_bound_ab, whose b = +inf is m = 0 and whose subnormal a
+is M = +inf, reads the same verdict for its class (delta, 1/b, 1/a) and
+raises Infeasible alone.  The raw-float domain checks on delta and on
+0 <= m <= 1 <= M each have one helper, shared by ``ClassParams`` and the
+float-argument bounds.
 """
 
 from __future__ import annotations
@@ -66,9 +69,15 @@ class ClassParams(Record):
     delta is total variation in [0, 1]; m and M are the ratio infimum and
     supremum with 0 <= m <= 1 <= M, M possibly +inf.  NaN in any slot
     fails the domain checks and raises InvalidParams.
+
+    The constructor also stores ``feasible(self)`` in the private slot
+    ``_feasible``, which is no field: it is left out of the repr, equality,
+    hash and pickle, and a copy or an unpickled class is judged again by
+    its constructor.
     """
 
-    __slots__ = _fields = ("delta", "m", "M")
+    _fields = ("delta", "m", "M")
+    __slots__ = _fields + ("_feasible",)
 
     def __init__(self, delta: float, m: float, M: float):
         delta, m, M = float(delta), float(m), float(M)
@@ -77,11 +86,13 @@ class ClassParams(Record):
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "M", M)
+        object.__setattr__(self, "_feasible", feasible(self))
 
     def check_finite(self) -> None:
         """The one class guard: raise Infeasible when no pair has these
-        parameters, then UnboundedM when M = +inf."""
-        if not feasible(self):
+        parameters (the verdict of ``feasible`` made at construction), then
+        UnboundedM when M = +inf."""
+        if not self._feasible:
             raise Infeasible(f"empty class: {self}")
         if self.M == INF:
             raise UnboundedM(
@@ -188,13 +199,14 @@ def log_over_x_minus_1(x: float) -> float:
 def kl_bound_ab(delta: float, a: float, b: float) -> float:
     """Optimal KL bound in the reciprocal parameters a = 1/M, b = 1/m:
     delta * (log(a)/(a-1) + log(b)/(1-b)); b = +inf (m = 0) drops the second
-    term.  Raises Infeasible when the class (delta, 1/b, 1/a) is empty."""
+    term.  Raises Infeasible when the class (delta, 1/b, 1/a) is empty; a
+    subnormal a, whose 1/a is +inf, raises nothing more (no UnboundedM)."""
     # not via chord_slope_gap: log_over_x_minus_1's series beats the secant near 1
     delta, a, b = float(delta), float(a), float(b)
     if not (0.0 < a <= 1.0 <= b):
         raise InvalidParams(f"need 0 < a <= 1 <= b, got a={a!r}, b={b!r}")
     params = ClassParams(delta, 1.0 / b, 1.0 / a)  # 1/inf is 0.0
-    if not feasible(params):
+    if not params._feasible:  # not check_finite: M = 1/a is +inf for a subnormal a
         raise Infeasible(f"empty class: {params}")
     # log(b)/(1-b) = -log_over_x_minus_1(b); the b = +inf limit is 0
     return delta * (log_over_x_minus_1(a) - log_over_x_minus_1(b))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -25,6 +26,9 @@ if TYPE_CHECKING:
 #: Inputs are accepted when |sum(w) - 1| is at most this, then renormalized.
 SUM_TOLERANCE = 1e-9
 
+#: types that float() parses as text, rejected as a vector and as an item
+_TEXT = (str, bytes, bytearray)
+
 
 def _sum(values) -> float:
     """Left-to-right float sum: numpy's order below 8 terms, and not the
@@ -35,11 +39,11 @@ def _sum(values) -> float:
 class Distribution(Record):
     """A point on the probability simplex: nonnegative weights summing to one.
 
-    Construct through :func:`validate_distribution`.  ``values`` is the
-    renormalized tuple of floats; ``weights`` is the same numbers as a
-    read-only numpy array, built on first use and cached in the instance's
-    ``__dict__``.  Two distributions are equal only when they are the same
-    object.
+    Construct through :func:`validate_distribution`, or ``_normalized`` for
+    weights the package computes.  ``values`` is the renormalized tuple of
+    floats; ``weights`` is the same numbers as a read-only numpy array,
+    built on first use and cached in the instance's ``__dict__``.  Two
+    distributions are equal only when they are the same object.
     """
 
     _fields = ("values",)
@@ -69,33 +73,55 @@ class Distribution(Record):
 
 
 def validate_distribution(weights) -> Distribution:
-    """Validate a weight vector and return the normalized Distribution.
+    """Validate a weight vector from outside the package and return the
+    normalized Distribution.
 
-    Takes a scalar (one atom), a sequence or a 1-D array.  Rejects empty or
-    nested input, text (``str``, ``bytes``, ``bytearray``), items that are
-    not numbers, NaN and negative weights, and sums further than
-    SUM_TOLERANCE from one.
+    Takes a scalar (one atom), a sequence or a 1-D array, and coerces it to
+    a tuple of floats.  Rejects empty or nested input, a mapping, a set,
+    text (``str``, ``bytes``, ``bytearray``) as the vector or as an item,
+    and items that are not numbers, all with EmptyVector; then applies the
+    value checks of ``_normalized``.  Weights the package computes itself
+    go to ``_normalized`` directly, with the same value checks and no
+    coercion.
     """
     if hasattr(weights, "tolist"):  # a numpy array or scalar
         weights = weights.tolist()
     if isinstance(weights, (int, float)):
         weights = (weights,)
-    elif isinstance(weights, (str, bytes, bytearray)):  # would iterate by character
+    elif isinstance(weights, _TEXT):  # would iterate by character
         raise EmptyVector("need a nonempty 1-D vector of numbers, not text")
+    elif isinstance(weights, (Mapping, set, frozenset)):  # would iterate keys, or no order
+        raise EmptyVector("need a nonempty 1-D vector of numbers, not a mapping or set")
     try:
-        w = tuple(map(float, weights))
-    except (TypeError, ValueError):  # nested, or an item float() rejects
+        w = tuple(map(_number, weights))
+    except (TypeError, ValueError):  # nested, text, or an item float() rejects
         raise EmptyVector("need a nonempty 1-D vector of numbers") from None
     if not w:
         raise EmptyVector("need a nonempty 1-D weight vector")
-    if any(x != x for x in w):
-        raise NegativeWeight("NaN weight")
-    if any(x < 0.0 for x in w):
-        raise NegativeWeight(f"negative weight in {list(w)!r}")
+    return _normalized(w)
+
+
+def _number(x) -> float:
+    """float(x) for an item of a weight vector; text raises TypeError,
+    since float() would parse it."""
+    if isinstance(x, _TEXT):
+        raise TypeError("text item")
+    return float(x)
+
+
+def _normalized(w) -> Distribution:
+    """The value checks on a nonempty sequence of floats, then the division
+    by its sum: NaN (reported before a negative weight), negative weights,
+    and a sum further than SUM_TOLERANCE from one are rejected."""
+    for x in w:
+        if not x >= 0.0:  # a NaN fails this too
+            if any(y != y for y in w):
+                raise NegativeWeight("NaN weight")
+            raise NegativeWeight(f"negative weight in {list(w)!r}")
     s = _sum(w)
     if abs(s - 1.0) > SUM_TOLERANCE:
         raise SumOutOfTolerance(f"weights sum to {s!r}, not 1")
-    return Distribution(tuple(x / s for x in w))
+    return Distribution(tuple([x / s for x in w]))  # a list builds faster than a generator
 
 
 def _check_lengths(P: Distribution, Q: Distribution) -> None:

@@ -30,8 +30,8 @@ if TYPE_CHECKING:
 
 def f_divergence(gen: Generator, P: Distribution, Q: Distribution) -> float:
     """D_f(P || Q) of one pair: :func:`batch_f_divergence` of the pair as a
-    single row.  ``validate_distribution`` has made the weights
-    nonnegative and not NaN, so only the lengths are checked here."""
+    single row.  A Distribution's weights have passed the value checks
+    (nonnegative and not NaN), so only the lengths are checked here."""
     import numpy as np
 
     _check_lengths(P, Q)

@@ -6,10 +6,11 @@ class Record:
 
     A subclass names its constructor arguments in ``_fields`` and sets each
     in its own ``__init__`` with ``object.__setattr__``; a slotted subclass
-    declares ``__slots__ = _fields``.  The ``repr`` and equality (between
-    objects of the same class) cover ``_shown``, all fields unless narrowed,
-    and so does the hash.  Any assignment raises AttributeError.  Copies and
-    pickles are rebuilt through the constructor.
+    lists its fields in ``__slots__``, and may add a private slot that is no
+    field, set from the fields in ``__init__``.  The ``repr`` and equality
+    (between objects of the same class) cover ``_shown``, all fields unless
+    narrowed, and so does the hash.  Any assignment raises AttributeError.
+    Copies and pickles are rebuilt through the constructor.
     """
 
     __slots__ = ()

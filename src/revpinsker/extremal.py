@@ -4,12 +4,14 @@
 ``ClassParams.check_finite`` (non-empty, finite M), and raises InvalidParams
 when the pair it builds has a zero Q weight at the m or M atom, or misses
 m or M by more than ``RATIO_TOLERANCE`` (relative to M at the M atom).
+The weights it computes pass the distribution value checks
+(``_normalized``) without the coercion meant for outside input.
 """
 
 from __future__ import annotations
 
 from .bounds import ClassParams, bound_gap, theorem1_bound
-from .distributions import Distribution, validate_distribution
+from .distributions import Distribution, _normalized
 from .divergence import f_divergence, measure_pair
 from .errors import InvalidParams, Record
 from .generators import Generator
@@ -45,7 +47,7 @@ def ternary_extremal(params: ClassParams) -> ExtremalPair:
     P = Q = (1.0)."""
     params.check_finite()
     if params.delta == 0.0:
-        point = validate_distribution([1.0])
+        point = _normalized((1.0,))
         return ExtremalPair(P=point, Q=point, q=0.0, p=0.0, t=0.0)
     m, M, delta = params.m, params.M, params.delta
     q = (M - 1.0) / (M - m)
@@ -56,8 +58,8 @@ def ternary_extremal(params: ClassParams) -> ExtremalPair:
     p_c = M * q_c
     t = delta * (M - m) / ((M - 1.0) * (1.0 - m))
     t = min(t, 1.0)  # delta = cap gives t = 1 up to rounding
-    P = validate_distribution([t * p, t * p_c, max(0.0, 1.0 - t)])
-    Q = validate_distribution([t * q, t * q_c, max(0.0, 1.0 - t)])
+    P = _normalized((t * p, t * p_c, max(0.0, 1.0 - t)))
+    Q = _normalized((t * q, t * q_c, max(0.0, 1.0 - t)))
     # tiny weights lose ratio digits, or underflow to zero
     (p_m, p_M, _), (q_m, q_M, _) = P.values, Q.values
     if not (min(q_m, q_M) > 0.0 and abs(p_m / q_m - m) <= RATIO_TOLERANCE

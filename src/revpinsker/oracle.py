@@ -45,9 +45,12 @@ constants below; a caller picks only the support size, the trial count
 and the seed (``SearchConfig``).
 
 The oracle adds no class checks of its own: ``theorem1_bound`` and
-``ternary_extremal`` ask the one class guard, ``ClassParams.check_finite``.
-Only ``falsify_feasibility`` calls ``feasible``, to test it against an
-independent member search.
+``ternary_extremal`` ask the one class guard, ``ClassParams.check_finite``,
+which reads the verdict of ``feasible`` made when the class was built.
+``falsify_feasibility`` reads ``feasible`` itself, to test it against an
+independent member search.  The sampled rows that ``search_sup`` and
+``sample_pair_in_class`` return as pairs pass the distribution value
+checks (``_normalized``) without the coercion meant for outside input.
 
 As in every module of the package, numpy is imported inside the functions
 that build arrays, so importing this module loads neither numpy nor mpmath.
@@ -62,7 +65,7 @@ import threading
 from typing import TYPE_CHECKING
 
 from .bounds import INF, ClassParams, bound_gap, feasible, theorem1_bound, tv_cap, vajda_bound
-from .distributions import Distribution, validate_distribution
+from .distributions import Distribution, _normalized
 from .divergence import batch_f_divergence, f_divergence
 from .errors import InvalidParams, Record
 from .extremal import ExtremalPair, ternary_extremal, verify_membership
@@ -350,7 +353,7 @@ def sample_pair_in_class(
     rng = np.random.default_rng(config.seed)
     p, q = _sample_batch(params, ternary_extremal(params), config.support_size, 1, rng,
                          PERTURBATION_STEPS)
-    return validate_distribution(p[0]), validate_distribution(q[0])
+    return _normalized(p[0].tolist()), _normalized(q[0].tolist())
 
 
 def search_sup(gen: Generator, params: ClassParams, config: SearchConfig) -> SearchOutcome:
@@ -379,7 +382,7 @@ def search_sup(gen: Generator, params: ClassParams, config: SearchConfig) -> Sea
         i = int(values.argmax())
         if values[i] > best_value:
             best_value = float(values[i])
-            best_pair = (validate_distribution(p[i]), validate_distribution(q[i]))
+            best_pair = (_normalized(p[i].tolist()), _normalized(q[i].tolist()))
         history.append((batch, best_value, violations))
 
     return SearchOutcome(
@@ -407,7 +410,7 @@ def search_unconstrained_sup(gen: Generator, delta: float) -> SearchOutcome:
         raise InvalidParams("sweep requires 0 <= delta < 1 (delta = 1 needs M = inf)")
     target = vajda_bound(gen, delta)
     if delta == 0.0:
-        point = validate_distribution([1.0])
+        point = _normalized((1.0,))
         return SearchOutcome(0.0, (point, point), 0.0, 0.0, 0, ((1.0, 0.0),))
 
     m_min = max(2.0, 1.01 / (1.0 - delta))

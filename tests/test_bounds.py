@@ -1,5 +1,9 @@
+import copy
 import importlib.util
 import math
+import pickle
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +34,7 @@ from revpinsker import (
     tv_generator,
     vajda_bound,
 )
-from revpinsker import chi2_generator
+from revpinsker import bounds, chi2_generator, distributions
 from revpinsker.bounds import bound_gap
 from revpinsker.errors import Infeasible, InvalidParams, LogDomain, UnboundedM
 
@@ -132,6 +136,94 @@ class TestClassGuard:
     def test_check_finite_passes_finite_nonempty_classes(self):
         for params in default_grid() + [ClassParams(0.0, 1.0, 1.0)]:
             params.check_finite()
+
+
+def value_dump_classes() -> list[tuple[float, float, float]]:
+    """The classes of scripts/value_dump.py: its grid and its extra classes."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "value_dump.py"
+    spec = importlib.util.spec_from_file_location("value_dump", path)
+    dump = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dump)
+    grid = [(frac * tv_cap(m, M), m, M) for m in dump.M_LOW for M in dump.M_HIGH
+            for frac in dump.CAP_FRACTIONS]
+    return grid + list(dump.EXTRA_CLASSES)
+
+
+def count_calls(monkeypatch, homes: dict) -> dict:
+    """Count the calls of each named function of ``homes`` (name -> home
+    module), rebound in every revpinsker module that imported it."""
+    import revpinsker.cli  # noqa: F401  (every module that may bind the names)
+    import revpinsker.oracle  # noqa: F401
+
+    counts = dict.fromkeys(homes, 0)
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name, home in homes.items():
+        original = getattr(home, name)
+        wrapper = counting(name, original)
+        for modname, module in list(sys.modules.items()):
+            if modname.split(".")[0] == "revpinsker" and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+class TestOneVerdict:
+    """A class is judged once, when it is built, and the guard reads that
+    verdict; the weights the package computes skip validate_distribution."""
+
+    #: the bounds_grid evaluation's stock generators with their Renyi orders
+    STOCK = ((KL, 2.0), (TV, 0.5), (CHI2, 2.0), (hellinger_generator(0.5), 0.5),
+             (hellinger_generator(3.0), 3.0))
+    #: next to the value-dump grid: the slack cases at m = 1 or M = 1
+    SLACK_CLASSES = ((0.0, 1.0 - 2.0**-53, 1.0), (0.0, 1.0, 1.0 + 2.0**-52),
+                     (1e-22, 1.0, 1.0 + 2.0**-52))
+
+    @pytest.mark.parametrize("gen, alpha", STOCK, ids=[gen.name for gen, _ in STOCK])
+    def test_each_class_and_weight_vector_is_checked_once(self, monkeypatch, gen, alpha):
+        counts = count_calls(monkeypatch, {"feasible": bounds,
+                                           "validate_distribution": distributions})
+        delta, m, M = 0.25, 0.5, 2.0
+        params = ClassParams(delta, m, M)
+        theorem1_bound(gen, params)
+        corollary1_bound(gen, m, M)
+        renyi_bound(alpha, params)
+        vajda_bound(gen, delta)
+        if gen.name == "kl":
+            kl_bound_ab(delta, 1.0 / M, 1.0 / m)  # builds its own class
+        pair = ternary_extremal(params)
+        f_divergence(gen, pair.P, pair.Q)
+        assert counts == {"feasible": 2 if gen.name == "kl" else 1,
+                          "validate_distribution": 0}
+
+    def test_kl_bound_ab_takes_a_subnormal_a(self):
+        # 1/a is +inf, so the class has M = +inf; kl_bound_ab covers it and
+        # raises only for an empty class, not UnboundedM
+        assert kl_bound_ab(0.1, 5e-324, 2.0) == 74.37469247408214
+        assert kl_bound_ab(0.1, 1e-310, INF) == 71.38013788281542
+
+    @pytest.mark.parametrize("rebuild", [
+        lambda p: p, copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p)),
+    ], ids=["built", "copy", "deepcopy", "pickle"])
+    def test_check_finite_raises_infeasible_exactly_where_feasible_is_false(self, rebuild):
+        verdicts = set()
+        for args in value_dump_classes() + list(self.SLACK_CLASSES):
+            params = rebuild(ClassParams(*args))
+            assert params == ClassParams(*args)
+            try:
+                params.check_finite()
+                raised = False
+            except Infeasible:
+                raised = True
+            except UnboundedM:
+                raised = False
+            assert raised is not feasible(params), args
+            verdicts.add(raised)
+        assert verdicts == {True, False}
 
 
 class TestTheorem1:

@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revpinsker import (
     ratio_extremes,
     total_variation,
     validate_distribution,
 )
+from revpinsker.distributions import _normalized
 from revpinsker.errors import (
     EmptyVector,
     LengthMismatch,
     NegativeWeight,
     NotAbsolutelyContinuous,
+    RevPinskerError,
     SumOutOfTolerance,
 )
 
@@ -158,3 +161,44 @@ def test_validate_rejects_text(text):
 def test_validate_rejects_nan():
     with pytest.raises(NegativeWeight):
         validate_distribution([0.5, math.nan, 0.5])
+
+
+@pytest.mark.parametrize("weights", [
+    {0.25: 0, 0.75: 0}, {0.75, 0.25}, frozenset((0.25, 0.75)),
+    ["0.5", "0.5"], [b"0.5", 0.5], [" 1 "], [bytearray(b"1")],
+], ids=["dict", "set", "frozenset", "str-items", "bytes-item", "padded-str-item",
+        "bytearray-item"])
+def test_validate_rejects_mappings_sets_and_text_items(weights):
+    # a dict used to be read by its keys, a set in hash order, and float()
+    # parsed text items
+    with pytest.raises(EmptyVector):
+        validate_distribution(weights)
+
+
+#: single weights that reach each value check: NaN, signed zeros,
+#: subnormals, negatives and infinities
+SPECIAL_WEIGHTS = st.sampled_from((math.nan, 0.0, -0.0, 5e-324, 1e-310, -5e-324, -0.25,
+                                   math.inf, -math.inf))
+WEIGHT_TUPLES = st.one_of(
+    # sums anywhere, mostly further than SUM_TOLERANCE from one
+    st.lists(st.one_of(st.floats(allow_nan=True), SPECIAL_WEIGHTS), min_size=1, max_size=8),
+    # sums within SUM_TOLERANCE of one, or off by about 1e-9
+    st.tuples(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+              st.sampled_from((0.0, 5e-10, -5e-10, 2e-9, -2e-9))).map(
+        lambda drawn: [x * (1.0 + drawn[1]) / math.fsum(drawn[0]) for x in drawn[0]]
+        if math.fsum(drawn[0]) > 0.0 else drawn[0]),
+).map(tuple)
+
+
+def outcome(normalize, w):
+    """The values as float.hex, bit for bit, or the error's type and message."""
+    try:
+        return [x.hex() for x in normalize(w).values]
+    except RevPinskerError as exc:
+        return type(exc), str(exc)
+
+
+@given(WEIGHT_TUPLES)
+@settings(max_examples=500, deadline=None)
+def test_normalizer_agrees_with_validate_distribution(w):
+    assert outcome(lambda v: validate_distribution(list(v)), w) == outcome(_normalized, w)
