@@ -27,14 +27,20 @@ gap, violations and history).  The Renyi value of a pair, its Hellinger
 value through ``renyi_from_hellinger`` with the pair as source, is dumped
 per order on each sampled class's extremal pair and on ``OVERFLOW_PAIR``,
 whose Hellinger-3 value overflows.  ``batch_f_divergence`` is also dumped
-per generator on each pair of ``BAD_WEIGHTS``, arrays that are not weights,
-and ``validate_distribution`` on each of ``NOT_WEIGHT_VECTORS``, a mapping,
-a set and lists with text items.  Runs in process and is deterministic.
+per generator on each pair of ``BAD_WEIGHTS``, batches that are not
+weights, and ``validate_distribution`` on each of ``NOT_WEIGHT_VECTORS``
+and on a generator, inputs that are no weight vector.  A ``memoryview`` or
+a generator is named by a fixed text, since its repr holds an address.
+Runs in process and is deterministic.
 """
 
 import argparse
+import array
 import math
+import types
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -84,13 +90,22 @@ SAMPLE_SHAPES = ((3, 2), (6, 7), (12, 13), (12, 40), (6, 300))
 SAMPLE_SEED = 1
 #: a pair whose sum p**3 / q**2 is about 1e599, past float range
 OVERFLOW_PAIR = ((0.1, 0.1, 0.8), (0.2, 1e-301, 0.8))
-#: (p, q) with a negative or NaN entry, one with a q = 0 atom
+#: (p, q) with a negative or NaN entry, one with a q = 0 atom; then p that
+#: is no array of weights: text, Fraction items, a dict and a ragged list
 BAD_WEIGHTS = (([[-0.5, 1.5]], [[0.5, 0.5]]), ([[math.nan, 1.0]], [[0.5, 0.5]]),
                ([[0.5, 0.5]], [[-0.5, 1.5]]), ([[0.5, 0.5]], [[math.nan, 0.5]]),
-               ([[-0.5, 1.5, 0.0]], [[0.5, 0.5, 0.0]]))
-#: inputs that are no weight vector: a dict (its keys are floats), a set and text items
+               ([[-0.5, 1.5, 0.0]], [[0.5, 0.5, 0.0]]),
+               ([["0.5", "0.5"]], [[0.25, 0.75]]), ([[b"0.5", b"0.5"]], [[0.25, 0.75]]),
+               (np.array([["0.5", "0.5"]]), [[0.25, 0.75]]),
+               ([[Fraction(1, 2), Fraction(1, 2)]], [[0.25, 0.75]]), ({0: 1}, [[0.25, 0.75]]),
+               ([[0.5], [0.5, 0.5]], [[0.25, 0.75]]))
+#: inputs that are no weight vector: a dict (its keys are floats), a set, text
+#: items, buffers, a range, and Decimal, Fraction and object items
 NOT_WEIGHT_VECTORS = ({0.25: 0, 0.75: 0}, {0.75, 0.25}, ["0.5", "0.5"], [b"0.5", 0.5],
-                      [" 1 "])
+                      [" 1 "], memoryview(b"\x01"), [memoryview(b"1")],
+                      array.array("d", [0.5, 0.5]), range(1, 2),
+                      [Decimal("0.5"), Decimal("0.5")], [Fraction(1, 2), Fraction(1, 2)],
+                      np.array([0.5, 0.5], dtype=object))
 REPORT_FIELDS = ("measured_delta", "measured_m", "measured_M", "deviation_delta",
                  "deviation_m", "deviation_M", "passed", "divergences", "bounds", "gaps")
 
@@ -108,12 +123,23 @@ def text(value) -> str:
     return "[" + " ".join(text(v) for v in value) + "]"
 
 
+def shown(arg) -> str:
+    """repr(arg), with a fixed text for a memoryview or a generator."""
+    if isinstance(arg, memoryview):
+        return f"memoryview({arg.tobytes()!r})"
+    if isinstance(arg, types.GeneratorType):
+        return "<generator>"
+    if isinstance(arg, list):
+        return "[" + ", ".join(map(shown, arg)) + "]"
+    return repr(arg)
+
+
 def emit(name: str, args: tuple, call) -> None:
     try:
         value = text(call())
     except Exception as exc:  # the error type is the dumped value
         value = type(exc).__name__
-    print(f"{name}({', '.join(map(repr, args))}) {value}")
+    print(f"{name}({', '.join(map(shown, args))}) {value}")
 
 
 def dump_class(gens, delta: float, m: float, M: float) -> None:
@@ -200,8 +226,9 @@ def main(argv: list[str] | None = None) -> int:
         for p, q in BAD_WEIGHTS:
             for gen in gens:
                 emit("batch_f_divergence.bad_weight", (gen.name, p, q),
-                     lambda: batch_f_divergence(gen, np.array(p), np.array(q)).tolist())
-        for weights in NOT_WEIGHT_VECTORS:
+                     lambda: batch_f_divergence(gen, p, q).tolist())
+        # a generator is made here, as a run would use one up
+        for weights in NOT_WEIGHT_VECTORS + ((w for w in (1.0,)),):
             emit("validate_distribution", (weights,), lambda: validate_distribution(weights))
     return 0
 

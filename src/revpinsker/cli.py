@@ -33,7 +33,7 @@ from .bounds import (
 from .distributions import validate_distribution
 from .divergence import f_divergence, measure_pair, renyi_from_hellinger
 from .errors import RevPinskerError
-from .extremal import MEMBERSHIP_TOLERANCE, ternary_extremal, verify_membership
+from .extremal import MEMBERSHIP_TOLERANCE, PairReport, ternary_extremal, verify_membership
 from .generators import (
     Generator,
     chi2_generator,
@@ -196,14 +196,8 @@ def _cmd_verify(args) -> int:
     divs = [_resolve_divergence(d) for d in args.div.split(",")]
     pair = verify_membership(P, Q, params, tol=args.tol,
                              generators=tuple(gen for gen, _ in divs))
-    results = {
-        "measured_delta": pair.measured_delta,
-        "measured_m": pair.measured_m,
-        "measured_M": pair.measured_M,
-        "deviation_delta": pair.deviation_delta,
-        "deviation_m": pair.deviation_m,
-        "deviation_M": pair.deviation_M,
-    }
+    # the measured (delta, m, M) and their deviations lead PairReport's fields
+    results = {name: getattr(pair, name) for name in PairReport._fields[:6]}
     for gen, report in divs:
         value = report(pair.divergences[gen.name], (P, Q))
         bound = report(pair.bounds[gen.name], params)

@@ -1,14 +1,29 @@
 """Finite discrete probability distributions and their basic comparisons.
 
 A Distribution is a tuple of floats, and the functions here use plain
-``math``; numpy loads only when a caller reads ``Distribution.weights``.
+``math``; numpy loads only when a caller reads ``Distribution.weights`` or
+passes a batch to ``_validate_batch``.
+
+Weights from outside the package follow one rule, checked here for a
+vector (:func:`validate_distribution`) and for a batch
+(``_validate_batch``, the entry of ``batch_f_divergence``):
+
+- a weight is a ``bool``, an ``int`` or a ``float``, a Python value or a
+  numpy one (dtype kind ``b``, ``i``, ``u`` or ``f``);
+- a vector is one weight (one atom), a nonempty ``list`` or ``tuple`` of
+  weights, or a 1-D numpy array of those kinds;
+- a batch is two arrays of those kinds with the same 2-D shape.
+
+Anything else raises EmptyVector: text, a mapping, a set, a
+``memoryview``, an iterator, and ``Decimal``, ``Fraction`` or object items,
+among others.  Then come the value checks: no NaN and no negative weight,
+and for a vector a sum within SUM_TOLERANCE of one.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -26,8 +41,8 @@ if TYPE_CHECKING:
 #: Inputs are accepted when |sum(w) - 1| is at most this, then renormalized.
 SUM_TOLERANCE = 1e-9
 
-#: types that float() parses as text, rejected as a vector and as an item
-_TEXT = (str, bytes, bytearray)
+#: numpy dtype kinds of a weight: bool, signed int, unsigned int, float
+_WEIGHT_KINDS = frozenset("biuf")
 
 
 def _sum(values) -> float:
@@ -73,40 +88,55 @@ class Distribution(Record):
 
 
 def validate_distribution(weights) -> Distribution:
-    """Validate a weight vector from outside the package and return the
-    normalized Distribution.
+    """Validate a weight vector from outside the package, by the rule in the
+    module docstring, and return the normalized Distribution.
 
-    Takes a scalar (one atom), a sequence or a 1-D array, and coerces it to
-    a tuple of floats.  Rejects empty or nested input, a mapping, a set,
-    text (``str``, ``bytes``, ``bytearray``) as the vector or as an item,
-    and items that are not numbers, all with EmptyVector; then applies the
+    Input that is no vector of weights raises EmptyVector; then come the
     value checks of ``_normalized``.  Weights the package computes itself
-    go to ``_normalized`` directly, with the same value checks and no
-    coercion.
+    go to ``_normalized`` directly, with the same value checks.
     """
-    if hasattr(weights, "tolist"):  # a numpy array or scalar
-        weights = weights.tolist()
+    if _kind(weights) in _WEIGHT_KINDS:  # a numpy array or scalar of weights
+        weights = weights.tolist()  # Python numbers, or nested lists past 1-D
     if isinstance(weights, (int, float)):
         weights = (weights,)
-    elif isinstance(weights, _TEXT):  # would iterate by character
-        raise EmptyVector("need a nonempty 1-D vector of numbers, not text")
-    elif isinstance(weights, (Mapping, set, frozenset)):  # would iterate keys, or no order
-        raise EmptyVector("need a nonempty 1-D vector of numbers, not a mapping or set")
+    if not (isinstance(weights, (list, tuple)) and weights and all(map(_is_weight, weights))):
+        raise EmptyVector("need one weight, or a nonempty list, tuple or 1-D array of weights")
+    return _normalized(tuple(map(float, weights)))
+
+
+def _kind(x) -> str | None:
+    """The numpy dtype kind of x, or None for an object that has none."""
+    return getattr(getattr(x, "dtype", None), "kind", None)
+
+
+def _is_weight(x) -> bool:
+    """Whether x is one weight: a Python bool, int or float, or a numpy
+    scalar of one of the _WEIGHT_KINDS."""
+    return isinstance(x, (int, float)) or _kind(x) in _WEIGHT_KINDS and x.ndim == 0
+
+
+def _validate_batch(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """A batch of weight arrays from outside the package, p and q of shape
+    (trials, n), as float arrays, by the rule in the module docstring.
+
+    Raises EmptyVector when p or q is no array of weights, LengthMismatch
+    when they differ in shape or are not 2-D, and NegativeWeight when an
+    entry is negative or NaN.  A float64 array comes back as it is.
+    """
+    import numpy as np
+
     try:
-        w = tuple(map(_number, weights))
-    except (TypeError, ValueError):  # nested, text, or an item float() rejects
-        raise EmptyVector("need a nonempty 1-D vector of numbers") from None
-    if not w:
-        raise EmptyVector("need a nonempty 1-D weight vector")
-    return _normalized(w)
-
-
-def _number(x) -> float:
-    """float(x) for an item of a weight vector; text raises TypeError,
-    since float() would parse it."""
-    if isinstance(x, _TEXT):
-        raise TypeError("text item")
-    return float(x)
+        p, q = np.asarray(p), np.asarray(q)
+    except ValueError:  # a ragged nesting
+        raise EmptyVector("need 2-D arrays of weights, not ragged lists") from None
+    if p.dtype.kind not in _WEIGHT_KINDS or q.dtype.kind not in _WEIGHT_KINDS:
+        raise EmptyVector(f"need arrays of bool, int or float weights, not {p.dtype}, {q.dtype}")
+    if p.shape != q.shape or p.ndim != 2:
+        raise LengthMismatch(f"need p, q of one 2-D shape (trials, n), not {p.shape}, {q.shape}")
+    # count_nonzero of a bool array costs about half of .all() on small ones
+    if np.count_nonzero(p >= 0.0) != p.size or np.count_nonzero(q >= 0.0) != q.size:
+        raise NegativeWeight("weights must be >= 0 and not NaN")
+    return p.astype(float, copy=False), q.astype(float, copy=False)
 
 
 def _normalized(w) -> Distribution:

@@ -15,11 +15,12 @@ from typing import TYPE_CHECKING
 from .distributions import (
     Distribution,
     _check_lengths,
+    _validate_batch,
     check_absolutely_continuous,
     ratio_extremes,
     total_variation,
 )
-from .errors import LengthMismatch, LogDomain, NegativeWeight, NotAbsolutelyContinuous
+from .errors import LogDomain, NotAbsolutelyContinuous
 from .generators import Generator, check_alpha
 
 if TYPE_CHECKING:
@@ -43,10 +44,12 @@ def batch_f_divergence(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarr
     weight arrays of shape (trials, n).
 
     Terms with p_i = 0 contribute q_i * f(0+), which may make a row +inf.
-    Raises LengthMismatch when p and q differ in shape or are not 2-D,
-    NegativeWeight when an entry of p or q is negative or NaN, and
-    NotAbsolutelyContinuous when a row has p_i > 0 where q_i = 0: that D_f
-    is not the sum over q_i > 0.
+    p and q come from outside the package, so they are checked by the
+    weight rule of ``revpinsker.distributions`` (``_validate_batch``):
+    EmptyVector for no array of weights, LengthMismatch for two shapes or
+    not 2-D, NegativeWeight for a negative or NaN entry.  A row with
+    p_i > 0 where q_i = 0 raises NotAbsolutelyContinuous: that D_f is not
+    the sum over q_i > 0.
 
     Only the ratios depend on the support: p / q when every q_i > 0, else
     1 where q_i = 0.  Then ``Generator.evaluate`` gives f of the ratios, the
@@ -56,18 +59,7 @@ def batch_f_divergence(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarr
     of up to 7 atoms are, and ``ndarray.sum(axis=1)`` otherwise; both start
     each row from +0.0, so a -0.0 term from f(1) = -0.0 leaves no trace.
     """
-    import numpy as np
-
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise LengthMismatch(f"weight arrays differ in shape: {p.shape} vs {q.shape}")
-    if p.ndim != 2:
-        raise LengthMismatch(f"need 2-D weight arrays of shape (trials, n), got {p.shape}")
-    # count_nonzero of a bool array costs about half of .all() on small ones
-    if np.count_nonzero(p >= 0.0) != p.size or np.count_nonzero(q >= 0.0) != q.size:
-        raise NegativeWeight("weights must be >= 0 and not NaN")
-    return _f_rows(gen, p, q)
+    return _f_rows(gen, *_validate_batch(p, q))
 
 
 def _f_rows(gen: Generator, p: np.ndarray, q: np.ndarray) -> np.ndarray:

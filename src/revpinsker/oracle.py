@@ -141,6 +141,14 @@ class SearchOutcome(Record):
     for ``search_unconstrained_sup``, one (M, value) per swept grid point,
     then (log10 M, value) along its mpmath tail.  It holds no timings, so
     identical calls give equal outcomes.
+
+    ``best_pair`` is always a pair the search evaluated in floats, and for
+    ``search_sup`` ``best_value`` is the D_f it evaluated there (on the
+    sampled row, before ``best_pair`` divided it by its sum).  When the
+    mpmath tail of ``search_unconstrained_sup`` runs, ``best_value`` is the
+    largest value along it, the closed form at M = 10**k, which has no
+    float pair: ``best_pair`` stays the best pair of the float sweep, and
+    its D_f is the largest value in the sweep's part of ``history``.
     """
 
     _fields = ("best_value", "best_pair", "bound", "gap", "violations", "history")
@@ -401,7 +409,11 @@ def search_unconstrained_sup(gen: Generator, delta: float) -> SearchOutcome:
     Evaluates the extremal pair along a geometric grid of M; the values are
     nondecreasing and approach the range-of-values bound.  When that bound is
     infinite the sweep continues in mpmath, beyond float range, until the
-    divergence proxy threshold is exceeded.
+    divergence proxy threshold is exceeded.  That tail evaluates the closed
+    form, not a pair, so ``best_value`` may then come from it while
+    ``best_pair`` is the best pair of the float sweep (see SearchOutcome):
+    for KL at delta = 0.3, ``best_value`` is about 6.9e6 and D_f of
+    ``best_pair`` about 8.29.
     """
     import numpy as np
 

@@ -244,6 +244,25 @@ class TestErrorStdout:
         assert any(line.startswith("error: ") for line in err.splitlines())
 
 
+class TestParseErrors:
+    """Arguments argparse accepts but a command cannot use exit 3, with
+    empty stdout."""
+
+    @pytest.mark.parametrize("args", [
+        ["bound", "--div", "kl", "--formula", "thm1", "--m", "0.5", "--M", "2"],
+        ["bound", "--div", "kl", "--formula", "cor1", "--M", "2"],
+        ["bound", "--div", "kl", "--formula", "cor2"],
+        ["bound", "--div", "nosuch", "--formula", "cor2", "--delta", "0.3"],
+    ], ids=["thm1-without-delta", "cor1-without-m", "cor2-without-delta", "unknown-div"])
+    def test_exit_3_with_empty_stdout(self, args, capsys):
+        from revpinsker.cli import main
+
+        assert main(args) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "parse error:" in err
+
+
 class TestFuzz:
     def test_attainment_and_exit_0(self):
         result = run("fuzz", "--div", "chi2", "--delta", "0.25", "--m", "0.5",
@@ -510,7 +529,9 @@ class TestRenyi:
 class TestGoldenStdout:
     """Exact stdout bytes, captured from revpinsker 0.1.0 into tests/golden;
     the fuzz files were captured before the search's settings became
-    constants, and pin that seeded output did not change."""
+    constants, and pin that seeded output did not change.  The verify files
+    were captured from 0.11.0, whose ``verify`` listed its measured fields
+    by hand."""
 
     GOLDEN = Path(__file__).resolve().parent / "golden"
     BOUND = ("bound", "--div", "kl", "--formula", "cor2", "--delta", "0.3",
@@ -519,6 +540,8 @@ class TestGoldenStdout:
     FUZZ = ("fuzz", "--div", "kl", "--delta", "0.25", "--m", "0.5", "--M", "2",
             "--trials", "2000", "--seed", "31337")
     CLASS = ("--delta", "0.2", "--m", "0.25", "--M", "5")
+    VERIFY = ("verify", "--p", "0.1,0.3,0.6", "--q", "0.2,0.4,0.4", "--delta", "0.2",
+              "--m", "0.5", "--M", "1.5", "--div", "kl,tv,chi2,renyi:2")
 
     @pytest.mark.parametrize("args, golden", [
         (BOUND, "bound_cor2.json"),
@@ -533,6 +556,8 @@ class TestGoldenStdout:
         # crosses the sampler's 20 000-row chunk boundary
         (("fuzz", "--div", "chi2", *CLASS, "--trials", "25000", "--n", "12", "--seed", "3"),
          "fuzz_chunked.json"),
+        (VERIFY, "verify.json"),
+        (VERIFY + ("--format", "csv"), "verify.csv"),
     ])
     def test_stdout_bytes(self, args, golden, capsys):
         from revpinsker.cli import main

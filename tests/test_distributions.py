@@ -1,4 +1,7 @@
+import array
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -166,13 +169,44 @@ def test_validate_rejects_nan():
 @pytest.mark.parametrize("weights", [
     {0.25: 0, 0.75: 0}, {0.75, 0.25}, frozenset((0.25, 0.75)),
     ["0.5", "0.5"], [b"0.5", 0.5], [" 1 "], [bytearray(b"1")],
+    memoryview(b"\x01"), [memoryview(b"1")], array.array("d", [0.5, 0.5]), range(1, 2),
+    (w for w in (0.5, 0.5)), [Decimal("0.5"), Decimal("0.5")], [Fraction(1, 2), Fraction(1, 2)],
+    np.array([0.5, 0.5], dtype=object), np.array([0.5, 0.5], dtype=complex),
 ], ids=["dict", "set", "frozenset", "str-items", "bytes-item", "padded-str-item",
-        "bytearray-item"])
+        "bytearray-item", "memoryview", "memoryview-item", "array.array", "range", "generator",
+        "decimal-items", "fraction-items", "object-array", "complex-array"])
 def test_validate_rejects_mappings_sets_and_text_items(weights):
-    # a dict used to be read by its keys, a set in hash order, and float()
-    # parsed text items
+    # none is a vector of weights: a dict used to be read by its keys, a set
+    # in hash order, and float() parsed text, buffer, Decimal, Fraction and
+    # object items; a memoryview, an array.array, a range and a generator
+    # were iterated
     with pytest.raises(EmptyVector):
         validate_distribution(weights)
+
+
+#: inputs the rule accepts, each with the list of floats it equals
+WEIGHTS = {
+    "float-list": ([0.5, 0.5], [0.5, 0.5]), "float-tuple": ((0.5, 0.5), [0.5, 0.5]),
+    "int-list": ([1, 0], [1.0, 0.0]), "int-tuple": ((1, 0), [1.0, 0.0]),
+    "bool-list": ([True, False], [1.0, 0.0]), "bool-tuple": ((True, False), [1.0, 0.0]),
+    "float-array": (np.array([0.5, 0.5]), [0.5, 0.5]),
+    "float32-array": (np.array([0.5, 0.5], np.float32), [0.5, 0.5]),
+    "int-array": (np.array([1, 0]), [1.0, 0.0]),
+    "uint8-array": (np.array([1, 0], np.uint8), [1.0, 0.0]),
+    "bool-array": (np.array([True, False]), [1.0, 0.0]),
+    "float32-items": ([np.float32(0.5), np.float32(0.5)], [0.5, 0.5]),
+    "numpy-int-items": ((np.int64(1), np.uint8(0)), [1.0, 0.0]),
+    "numpy-bool-items": ([np.True_, np.False_], [1.0, 0.0]),
+    "float": (1.0, [1.0]), "int": (1, [1.0]), "bool": (True, [1.0]),
+    "float64-scalar": (np.float64(1.0), [1.0]), "float32-scalar": (np.float32(1.0), [1.0]),
+    "int64-scalar": (np.int64(1), [1.0]), "bool-scalar": (np.True_, [1.0]),
+    "0-d-array": (np.array(1.0), [1.0]),
+}
+
+
+@pytest.mark.parametrize("weights, floats", WEIGHTS.values(), ids=WEIGHTS.keys())
+def test_accepted_weights_give_the_values_of_the_equal_floats(weights, floats):
+    assert validate_distribution(weights).values == validate_distribution(floats).values
 
 
 #: single weights that reach each value check: NaN, signed zeros,

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -19,8 +20,10 @@ from revpinsker import (
     tv_generator,
     validate_distribution,
 )
+from revpinsker.distributions import _validate_batch
 from revpinsker.divergence import _row_sums
 from revpinsker.errors import (
+    EmptyVector,
     InvalidAlpha,
     LengthMismatch,
     LogDomain,
@@ -277,6 +280,44 @@ BAD_WEIGHTS = [
 def test_batch_rejects_negative_or_nan_weights(gen, p, q):
     with pytest.raises(NegativeWeight):
         batch_f_divergence(gen, np.array(p), np.array(q))
+
+
+#: p that is no array of weights, against q = [[0.25, 0.75]]; the text
+#: and the Fraction items gave tv 0.25, the dict and the ragged list raised
+#: a bare TypeError and ValueError
+NOT_WEIGHT_BATCHES = {
+    "str": [["0.5", "0.5"]],
+    "bytes": [[b"0.5", b"0.5"]],
+    "str-array": np.array([["0.5", "0.5"]]),
+    "fraction": [[Fraction(1, 2), Fraction(1, 2)]],
+    "dict": {0: 1},
+    "ragged": [[0.5], [0.5, 0.5]],
+    "complex-array": np.array([[0.5, 0.5]], dtype=complex),
+}
+
+
+@pytest.mark.parametrize("side", ["p", "q"])
+@pytest.mark.parametrize("p", NOT_WEIGHT_BATCHES.values(), ids=NOT_WEIGHT_BATCHES.keys())
+def test_batch_rejects_what_is_no_array_of_weights(p, side):
+    q = [[0.25, 0.75]]
+    with pytest.raises(EmptyVector):
+        batch_f_divergence(tv_generator(), *((p, q) if side == "p" else (q, p)))
+
+
+@pytest.mark.parametrize("gen", BATCH_GENERATORS[:3], ids=lambda g: g.name)
+@pytest.mark.parametrize("p, q", [
+    ([[0.5, 0.5]], [[0.25, 0.75]]),
+    (((1, 0), (0, 1)), [[True, False], [False, True]]),
+    (np.array([[1, 0]], np.uint8), np.array([[0.5, 0.5]], np.float32)),
+], ids=["lists", "int-and-bool", "uint8-and-float32"])
+def test_batch_of_accepted_weights_is_the_batch_of_the_equal_floats(gen, p, q):
+    floats = np.array(p, dtype=float), np.array(q, dtype=float)
+    assert batch_f_divergence(gen, p, q).tobytes() == batch_f_divergence(gen, *floats).tobytes()
+
+
+def test_batch_keeps_a_float_batch_as_it_is():
+    p = np.array([[0.5, 0.5]])
+    assert all(a is b for a, b in zip(_validate_batch(p, p), (p, p)))
 
 
 def test_chi2_closed_form(pair):

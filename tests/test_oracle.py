@@ -10,6 +10,7 @@ from revpinsker import (
     batch_f_divergence,
     chi2_generator,
     custom_generator,
+    f_divergence,
     falsify_feasibility,
     feasible,
     hellinger_generator,
@@ -355,6 +356,16 @@ class TestUnconstrainedSweep:
         assert out.best_value == math.inf
         assert len(out.history) == 41
         assert out.history[0][1] == math.inf
+
+    @pytest.mark.parametrize("gen", [kl_generator(), chi2_generator(), hellinger_generator(0.5),
+                                     tv_generator()], ids=lambda g: g.name)
+    def test_best_pair_is_the_best_of_the_float_sweep(self, gen):
+        # for kl the mpmath tail runs and raises best_value to about 6.9e6,
+        # past every float pair; best_pair stays the float sweep's best
+        out = search_unconstrained_sup(gen, 0.3)
+        sweep = out.history[:41]  # the float grid, M from 2 to 1e12
+        assert sweep[-1][0] == pytest.approx(1e12)
+        assert f_divergence(gen, *out.best_pair) == max(value for _, value in sweep)
 
     def test_zero_delta(self):
         out = search_unconstrained_sup(kl_generator(), 0.0)
