@@ -29,9 +29,13 @@ per order on each sampled class's extremal pair and on ``OVERFLOW_PAIR``,
 whose Hellinger-3 value overflows.  ``batch_f_divergence`` is also dumped
 per generator on each pair of ``BAD_WEIGHTS``, batches that are not
 weights, and ``validate_distribution`` on each of ``NOT_WEIGHT_VECTORS``
-and on a generator, inputs that are no weight vector.  A ``memoryview`` or
-a generator is named by a fixed text, since its repr holds an address.
-Runs in process and is deterministic.
+and on a generator, inputs that are no weight vector.  Each public entry
+that takes a number (``number_entries``) is dumped with each of
+``not_numbers`` of a valid value in each of its number slots, and
+``chord_slope_gap`` per generator on numpy float32 arguments.  A
+``memoryview`` or a generator is named by a fixed text, since its repr
+holds an address, and a numpy scalar that is no Python float is dumped as
+its type name and its value.  Runs in process and is deterministic.
 """
 
 import argparse
@@ -41,7 +45,9 @@ import types
 import warnings
 from decimal import Decimal
 from fractions import Fraction
+from operator import attrgetter
 
+import mpmath
 import numpy as np
 
 from revpinsker import (
@@ -50,17 +56,21 @@ from revpinsker import (
     SearchConfig,
     batch_f_divergence,
     chi2_generator,
+    chord_slope_gap,
     corollary1_bound,
+    custom_generator,
     f_divergence,
     falsify_feasibility,
     hellinger_generator,
     kl_bound_ab,
     kl_generator,
+    log_over_x_minus_1,
     measure_pair,
     renyi_bound,
     renyi_from_hellinger,
     search_sup,
     search_unconstrained_sup,
+    simic_kl_bound,
     ternary_extremal,
     theorem1_bound,
     tv_cap,
@@ -116,6 +126,8 @@ def text(value) -> str:
         return str(value)
     if isinstance(value, float):
         return value.hex()
+    if isinstance(value, np.generic):  # a numpy scalar that is no Python float
+        return f"{type(value).__name__}:{text(value.item())}"
     if isinstance(value, dict):
         return " ".join(f"{k}={text(v)}" for k, v in value.items())
     if isinstance(value, Distribution):
@@ -200,6 +212,43 @@ def dump_renyi_pair(args: tuple, P: Distribution, Q: Distribution) -> None:
              lambda: renyi_from_hellinger(alpha, f_divergence(gen, P, Q), (P, Q)))
 
 
+def number_entries():
+    """(name, valid arguments, call) of each public entry that takes a
+    number; a generator argument is given by its name."""
+    gens = {"kl": kl_generator(), "tv": tv_generator()}
+    params = ClassParams(0.25, 0.5, 2.0)
+    pair = ternary_extremal(params)
+    return (
+        ("ClassParams", (0.25, 0.5, 2.0), ClassParams),
+        ("tv_cap", (0.5, 2.0), tv_cap),
+        ("corollary1_bound", ("kl", 0.5, 2.0), lambda g, m, M: corollary1_bound(gens[g], m, M)),
+        ("vajda_bound", ("tv", 0.5), lambda g, delta: vajda_bound(gens[g], delta)),
+        ("log_over_x_minus_1", (2.0,), log_over_x_minus_1),
+        ("kl_bound_ab", (0.1, 0.5, 2.0), kl_bound_ab),
+        ("simic_kl_bound", (0.5, 2.0), simic_kl_bound),
+        ("chord_slope_gap", ("kl", 0.1, 2.0), lambda g, m, M: chord_slope_gap(gens[g], m, M)),
+        ("Generator.__call__", ("kl", 2.0), lambda g, t: gens[g](t)),
+        ("hellinger_generator.f_at_zero", (0.5,), lambda a: hellinger_generator(a).f_at_zero),
+        ("renyi_bound", (2.0,), lambda alpha: renyi_bound(alpha, params)),
+        ("renyi_from_hellinger", (2.0, 0.1), renyi_from_hellinger),
+        ("custom_generator.limits", ("tv", 0.5, 0.5),
+         lambda g, *limits: attrgetter("f_at_zero", "slope_at_infinity")(
+             custom_generator(gens[g].fn, *limits))),
+        ("verify_membership.passed", (1e-9,),
+         lambda tol: verify_membership(pair.P, pair.Q, params, tol=tol).passed),
+        ("search_unconstrained_sup.best_value", ("tv", 0.3),
+         lambda g, delta: search_unconstrained_sup(gens[g], delta).best_value),
+    )
+
+
+def not_numbers(v: float) -> tuple:
+    """Inputs that are no number, most of them standing for v: its text,
+    bytes, Decimal, Fraction, mpmath number, complex number, list and 1-D
+    array, then None and text that is no number."""
+    return (repr(v), repr(v).encode(), Decimal(repr(v)), Fraction(v), mpmath.mpf(v),
+            complex(v), [v], np.array([v]), None, "a")
+
+
 def main(argv: list[str] | None = None) -> int:
     argparse.ArgumentParser(description=__doc__).parse_args(argv)
     gens = [kl_generator(), tv_generator(), chi2_generator()]
@@ -230,6 +279,14 @@ def main(argv: list[str] | None = None) -> int:
         # a generator is made here, as a run would use one up
         for weights in NOT_WEIGHT_VECTORS + ((w for w in (1.0,)),):
             emit("validate_distribution", (weights,), lambda: validate_distribution(weights))
+        for name, args, call in number_entries():
+            for i, v in enumerate(args):
+                for x in not_numbers(v) if isinstance(v, float) else ():
+                    bad = args[:i] + (x,) + args[i + 1:]
+                    emit(name, bad, lambda: call(*bad))
+        for gen in gens:
+            for m, M in ((np.float32(0.1), 2.0), (0.1, np.float32(2.0))):
+                emit("chord_slope_gap", (gen.name, m, M), lambda: chord_slope_gap(gen, m, M))
     return 0
 
 

@@ -107,4 +107,4 @@ __all__ = [
     "verify_membership",
 ]
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"

@@ -26,15 +26,18 @@ non-empty class with finite M asks the one class guard,
 ``ClassParams.check_finite``, which reads that verdict and raises Infeasible,
 then UnboundedM.  kl_bound_ab, whose b = +inf is m = 0 and whose subnormal a
 is M = +inf, reads the same verdict for its class (delta, 1/b, 1/a) and
-raises Infeasible alone.  The raw-float domain checks on delta and on
-0 <= m <= 1 <= M each have one helper, shared by ``ClassParams`` and the
-float-argument bounds.
+raises Infeasible alone.  A number from outside is taken by the one number
+rule of ``revpinsker.distributions`` (``_real``: a bool, int or float, else
+InvalidParams); the domain checks on delta and on 0 <= m <= 1 <= M each have
+one helper, which takes the raw values and returns the floats, shared by
+``ClassParams`` and the float-argument bounds.
 """
 
 from __future__ import annotations
 
 import math
 
+from .distributions import _real
 from .divergence import renyi_from_hellinger
 from .errors import Infeasible, InvalidParams, LogDomain, Record, UnboundedM
 from .generators import Generator, hellinger_generator
@@ -51,24 +54,32 @@ FEASIBILITY_SLACK = 1e-9
 _RATIO_ROUNDING = 2.0**-50
 
 
-def _check_delta(delta: float) -> None:
-    """Raise InvalidParams unless the total variation delta is in [0, 1]."""
+def _check_delta(delta: float) -> float:
+    """The total variation delta as a float (``_real``); raise InvalidParams
+    unless it is in [0, 1]."""
+    delta = _real(delta)
     if not (0.0 <= delta <= 1.0):
         raise InvalidParams(f"delta must be in [0,1], got {delta!r}")
+    return delta
 
 
-def _check_ratio_extremes(m: float, M: float) -> None:
-    """Raise InvalidParams unless the ratio extremes obey 0 <= m <= 1 <= M."""
+def _check_ratio_extremes(m: float, M: float) -> tuple[float, float]:
+    """The ratio extremes as floats (``_real``); raise InvalidParams unless
+    they obey 0 <= m <= 1 <= M."""
+    m, M = _real(m), _real(M)
     if not (0.0 <= m <= 1.0 <= M):
         raise InvalidParams(f"need 0 <= m <= 1 <= M, got m={m!r}, M={M!r}")
+    return m, M
 
 
 class ClassParams(Record):
     """The triple (delta, m, M) identifying a constraint class.
 
     delta is total variation in [0, 1]; m and M are the ratio infimum and
-    supremum with 0 <= m <= 1 <= M, M possibly +inf.  NaN in any slot
-    fails the domain checks and raises InvalidParams.
+    supremum with 0 <= m <= 1 <= M, M possibly +inf.  Each is a number by
+    the rule of ``revpinsker.distributions`` (a bool, int or float, else
+    InvalidParams), stored as a float.  NaN in any slot fails the domain
+    checks and raises InvalidParams.
 
     The constructor also stores ``feasible(self)`` in the private slot
     ``_feasible``, which is no field: it is left out of the repr, equality,
@@ -80,9 +91,8 @@ class ClassParams(Record):
     __slots__ = _fields + ("_feasible",)
 
     def __init__(self, delta: float, m: float, M: float):
-        delta, m, M = float(delta), float(m), float(M)
-        _check_delta(delta)
-        _check_ratio_extremes(m, M)
+        delta = _check_delta(delta)
+        m, M = _check_ratio_extremes(m, M)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "M", M)
@@ -103,8 +113,7 @@ class ClassParams(Record):
 def tv_cap(m: float, M: float) -> float:
     """Largest total variation compatible with ratio extremes (m, M):
     (M-1)(1-m)/(M-m), read as 1-m when M = +inf and 0 when m = M = 1."""
-    m, M = float(m), float(M)
-    _check_ratio_extremes(m, M)
+    m, M = _check_ratio_extremes(m, M)
     if M == INF:
         return 1.0 - m
     if m == 1.0 or M == 1.0:
@@ -139,6 +148,7 @@ def chord_slope_gap(gen: Generator, m: float, M: float) -> float:
     Nonnegative for every convex f with f(1) = 0: the two terms are the
     negated left and the right slope of chords through (1, 0).
     """
+    m, M = _real(m), _real(M)
     if not (0.0 <= m < 1.0 < M):
         raise InvalidParams(f"need 0 <= m < 1 < M, got m={m!r}, M={M!r}")
     # IEEE gives inf / inf = NaN, not the limit
@@ -167,7 +177,6 @@ def theorem1_bound(gen: Generator, params: ClassParams) -> float:
 def corollary1_bound(gen: Generator, m: float, M: float) -> float:
     """sup of D_f over all pairs with ratio extremes (m, M), any delta:
     Theorem 1 at delta = tv_cap(m, M).  Zero when m = 1 or M = 1 (cap 0)."""
-    m, M = float(m), float(M)
     cap = tv_cap(m, M)
     if M == INF:
         raise UnboundedM("Corollary requires M < inf; compose vajda_bound instead")
@@ -177,15 +186,14 @@ def corollary1_bound(gen: Generator, m: float, M: float) -> float:
 def vajda_bound(gen: Generator, delta: float) -> float:
     """Range-of-values bound at fixed total variation delta:
     delta * chord_slope_gap(gen, 0, inf) = delta * (f(0+) + f'(inf))."""
-    delta = float(delta)
-    _check_delta(delta)
+    delta = _check_delta(delta)
     return _scaled_gap(gen, delta, 0.0, INF)
 
 
 def log_over_x_minus_1(x: float) -> float:
     """log(x)/(x - 1) for x > 0, taken as its limits 1 at x = 1 and 0 at
     x = +inf; a short series is used near 1 to dodge cancellation."""
-    x = float(x)
+    x = _real(x)
     if not (x > 0.0):  # a NaN fails this too
         raise LogDomain(f"need x > 0, got {x!r}")
     if x == INF:
@@ -202,14 +210,14 @@ def kl_bound_ab(delta: float, a: float, b: float) -> float:
     term.  Raises Infeasible when the class (delta, 1/b, 1/a) is empty; a
     subnormal a, whose 1/a is +inf, raises nothing more (no UnboundedM)."""
     # not via chord_slope_gap: log_over_x_minus_1's series beats the secant near 1
-    delta, a, b = float(delta), float(a), float(b)
+    a, b = _real(a), _real(b)
     if not (0.0 < a <= 1.0 <= b):
         raise InvalidParams(f"need 0 < a <= 1 <= b, got a={a!r}, b={b!r}")
     params = ClassParams(delta, 1.0 / b, 1.0 / a)  # 1/inf is 0.0
     if not params._feasible:  # not check_finite: M = 1/a is +inf for a subnormal a
         raise Infeasible(f"empty class: {params}")
     # log(b)/(1-b) = -log_over_x_minus_1(b); the b = +inf limit is 0
-    return delta * (log_over_x_minus_1(a) - log_over_x_minus_1(b))
+    return params.delta * (log_over_x_minus_1(a) - log_over_x_minus_1(b))
 
 
 def renyi_bound(alpha: float, params: ClassParams) -> float:
@@ -225,7 +233,7 @@ def simic_kl_bound(a: float, b: float) -> float:
     """Simic's global-Jensen comparator for KL over the (m, M) class, in the
     reciprocal parameters a = 1/M < 1 < b = 1/m.  Weaker than (at best equal
     to) corollary1_bound for KL."""
-    a, b = float(a), float(b)
+    a, b = _real(a), _real(b)
     if not (0.0 < a < 1.0 < b) or math.isinf(b):
         raise InvalidParams(f"need 0 < a < 1 < b < inf, got a={a!r}, b={b!r}")
     la, lb = math.log(a), math.log(b)

@@ -18,6 +18,14 @@ Anything else raises EmptyVector: text, a mapping, a set, a
 ``memoryview``, an iterator, and ``Decimal``, ``Fraction`` or object items,
 among others.  Then come the value checks: no NaN and no negative weight,
 and for a vector a sum within SUM_TOLERANCE of one.
+
+A number from outside the package (a total variation, a ratio extreme, an
+order, a point t, a tolerance) follows the same rule as one weight, checked
+by ``_real``: a Python or numpy ``bool``, ``int`` or ``float``, or a 0-d
+array of those kinds, taken as a Python float.  Anything else raises
+InvalidParams: text, ``Decimal``, ``Fraction``, an mpmath number, a complex
+number, None and a sequence among others.  Then each entry checks its own
+domain, NaN and +-inf included.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     EmptyVector,
+    InvalidParams,
     LengthMismatch,
     NegativeWeight,
     NotAbsolutelyContinuous,
@@ -113,6 +122,16 @@ def _is_weight(x) -> bool:
     """Whether x is one weight: a Python bool, int or float, or a numpy
     scalar of one of the _WEIGHT_KINDS."""
     return isinstance(x, (int, float)) or _kind(x) in _WEIGHT_KINDS and x.ndim == 0
+
+
+def _real(x) -> float:
+    """A number from outside the package as a float, by the number rule in
+    the module docstring: one weight, else InvalidParams."""
+    if type(x) is float:  # nearly every call: the package's own floats
+        return x
+    if _is_weight(x):
+        return float(x)
+    raise InvalidParams(f"need a bool, int or float, got {x!r}")
 
 
 def _validate_batch(p, q) -> tuple[np.ndarray, np.ndarray]:

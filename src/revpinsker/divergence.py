@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 from .distributions import (
     Distribution,
     _check_lengths,
+    _real,
     _validate_batch,
     check_absolutely_continuous,
     ratio_extremes,
@@ -114,7 +115,7 @@ def renyi_from_hellinger(
     (alpha > 1), ``source``, what h was measured on, gives it in the log
     domain: a pair (P, Q), or a ``ClassParams`` whose bound h is."""
     alpha = check_alpha(alpha)
-    x = (alpha - 1.0) * float(h)
+    x = (alpha - 1.0) * _real(h)
     if not (x > -1.0):
         raise LogDomain(f"log argument 1 + {x!r} is not > 0")
     # log1p keeps the digits of a small x that 1 + x would round away

@@ -11,7 +11,7 @@ The weights it computes pass the distribution value checks
 from __future__ import annotations
 
 from .bounds import ClassParams, bound_gap, theorem1_bound
-from .distributions import Distribution, _normalized
+from .distributions import Distribution, _normalized, _real
 from .divergence import f_divergence, measure_pair
 from .errors import InvalidParams, Record
 from .generators import Generator
@@ -109,12 +109,14 @@ def verify_membership(
     generators: tuple[Generator, ...] = (),
 ) -> PairReport:
     """Check whether (P, Q) lies in the class given by params, to tolerance:
-    delta and m to ``tol`` absolute, M to ``tol`` relative to M.  A
-    negative or NaN ``tol`` raises InvalidParams.
+    delta and m to ``tol`` absolute, M to ``tol`` relative to M.  ``tol``
+    is a number by the rule of ``revpinsker.distributions``; a negative or
+    NaN ``tol``, or one that is no number, raises InvalidParams.
 
     For each supplied generator the report also carries D_f(P || Q), the
     optimal bound at the target parameters, and their gap (``bound_gap``:
     bound minus divergence, which is nonnegative for true members)."""
+    tol = _real(tol)
     if not (tol >= 0.0):  # a NaN fails this too
         raise InvalidParams(f"tol must be >= 0, got {tol!r}")
     delta, m, M = measure_pair(P, Q)

@@ -11,6 +11,7 @@ import functools
 import math
 from typing import TYPE_CHECKING, Callable, Optional
 
+from .distributions import _real
 from .errors import FailsAnchorCheck, FailsConvexitySample, InvalidAlpha, InvalidParams, Record
 
 if TYPE_CHECKING:
@@ -56,8 +57,8 @@ class Generator(Record):
 
     def __call__(self, t: float) -> float:
         """Evaluate f at a scalar t >= 0; t = 0 returns the stored limit,
-        and t < 0 or NaN raises InvalidParams."""
-        t = float(t)
+        and t < 0, NaN or a t that is no number raises InvalidParams."""
+        t = _real(t)
         if not (t >= 0.0):  # a NaN fails this too
             raise InvalidParams(f"f is defined on t >= 0, got {t!r}")
         if t == 0.0:
@@ -116,25 +117,30 @@ def chi2_generator() -> Generator:
 
 
 def check_alpha(alpha: float) -> float:
-    """The Hellinger/Renyi order as a float; raise InvalidAlpha unless it is
-    in (0, 1) or (1, inf)."""
-    alpha = float(alpha)
+    """The Hellinger/Renyi order as a float; raise InvalidParams when it is
+    no number, then InvalidAlpha unless it is in (0, 1) or (1, inf)."""
+    alpha = _real(alpha)
     if not (0.0 < alpha < math.inf) or alpha == 1.0:
         raise InvalidAlpha(f"alpha must be in (0,1) or (1,inf), got {alpha}")
     return alpha
 
 
-@functools.lru_cache(maxsize=64)
 def hellinger_generator(alpha: float) -> Generator:
     """f(t) = (t^alpha - 1)/(alpha - 1) for alpha in (0,1) or (1,inf).
 
     f(0+) = 1/(1 - alpha); the slope at infinity is +inf for alpha > 1 and 0
     for alpha < 1.  For alpha > 1 a power that overflows gives +inf: the
     scalar ``__call__`` reads the float's OverflowError so, and an array
-    gives inf with numpy's overflow warning, as chi2 does.  Cached:
-    ``renyi_bound`` shares one frozen Generator per order.
+    gives inf with numpy's overflow warning, as chi2 does.  Cached by the
+    checked order, so an order that is no number raises InvalidParams
+    before the cache hashes it: ``renyi_bound`` shares one frozen Generator
+    per order.
     """
-    alpha = check_alpha(alpha)
+    return _hellinger(check_alpha(alpha))
+
+
+@functools.lru_cache(maxsize=64)
+def _hellinger(alpha: float) -> Generator:
     f = lambda t: (t**alpha - 1.0) / (alpha - 1.0)
     return Generator(
         name=f"hellinger:{alpha:g}",
@@ -176,13 +182,14 @@ def custom_generator(
 
     Convexity and the f(1) = 0 anchor are sample-checked (64 deterministic
     log-uniform chords); this guards against obvious mistakes, it is not a
-    proof.  Both limits must be > -inf, as they are for every convex f with
-    f(1) = 0; -inf and NaN raise InvalidParams.  A callable that does not
+    proof.  Both limits are numbers by the rule of
+    ``revpinsker.distributions`` and must be > -inf, as they are for every
+    convex f with f(1) = 0; -inf, NaN and a limit that is no number raise
+    InvalidParams.  A callable that does not
     take arrays is wrapped once with ``np.vectorize``, so ``evaluate`` is a
     direct call either way.
     """
-    f_at_zero = float(f_at_zero)
-    slope_at_infinity = float(slope_at_infinity)
+    f_at_zero, slope_at_infinity = _real(f_at_zero), _real(slope_at_infinity)
     if not (f_at_zero > -math.inf):
         raise InvalidParams(f"need f(0+) > -inf, got {f_at_zero!r}")
     anchor = float(f(1.0))

@@ -65,7 +65,7 @@ import threading
 from typing import TYPE_CHECKING
 
 from .bounds import INF, ClassParams, bound_gap, feasible, theorem1_bound, tv_cap, vajda_bound
-from .distributions import Distribution, _normalized
+from .distributions import Distribution, _normalized, _real
 from .divergence import batch_f_divergence, f_divergence
 from .errors import InvalidParams, Record
 from .extremal import ExtremalPair, ternary_extremal, verify_membership
@@ -417,7 +417,7 @@ def search_unconstrained_sup(gen: Generator, delta: float) -> SearchOutcome:
     """
     import numpy as np
 
-    delta = float(delta)
+    delta = _real(delta)
     if not (0.0 <= delta < 1.0):
         raise InvalidParams("sweep requires 0 <= delta < 1 (delta = 1 needs M = inf)")
     target = vajda_bound(gen, delta)

@@ -262,6 +262,12 @@ class TestParseErrors:
         assert out == ""
         assert "parse error:" in err
 
+    def test_unknown_comparator_is_a_parse_error(self):
+        from revpinsker.cli import ParseError, comparison_rows
+
+        with pytest.raises(ParseError, match="unknown comparator 'nosuch'"):
+            next(comparison_rows("nosuch", 2.0))
+
 
 class TestFuzz:
     def test_attainment_and_exit_0(self):

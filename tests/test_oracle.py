@@ -342,6 +342,16 @@ class TestUnconstrainedSweep:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert abs(out.best_value - 0.6) / 0.6 <= 1e-6
 
+    def test_a_target_below_the_sweep_counts_violations(self, monkeypatch):
+        # the range-of-values bound planted 1 % low: every swept tv pair,
+        # worth delta, beats it
+        vajda = oracle.vajda_bound
+        monkeypatch.setattr(oracle, "vajda_bound", lambda gen, delta: 0.99 * vajda(gen, delta))
+        out = search_unconstrained_sup(tv_generator(), 0.3)
+        assert out.bound == pytest.approx(0.297)
+        assert out.violations > 0
+        assert out.gap < 0.0
+
     def test_kl_diverges_past_threshold(self):
         out = search_unconstrained_sup(kl_generator(), 0.3)
         assert out.bound == math.inf

@@ -75,3 +75,40 @@ def test_value_dump_is_deterministic(capsys):
         value = line.rsplit(") ", 1)[1]
         assert (value[:1] in "[-0" or value in ("inf", "True", "False")
                 or "=" in value or value in domain_errors), line
+
+
+CODE_LINES_FIXTURE = '''"""A module docstring
+over two lines."""
+
+import math  # a trailing comment counts as its code line
+
+# a comment line
+
+
+class Point:
+    """A class docstring."""
+
+    x = 1.0
+
+
+def norm(p):
+    """A function docstring,
+
+    with a blank line in it."""
+    text = """a string that is
+no docstring"""
+    return math.hypot(
+        p.x,
+        0.0,
+    )
+'''
+
+
+def test_code_lines_count_no_blank_comment_or_docstring(tmp_path, capsys):
+    code_lines = load("code_lines")
+    # import, class, x =, def, text = (two lines), return ( and its three lines
+    assert code_lines.code_lines(CODE_LINES_FIXTURE) == 10
+    (tmp_path / "a.py").write_text(CODE_LINES_FIXTURE)
+    (tmp_path / "b.py").write_text("x = 1\n\n# end\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["   10 a.py", "    1 b.py", "   11 total"]
