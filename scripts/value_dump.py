@@ -30,12 +30,14 @@ whose Hellinger-3 value overflows.  ``batch_f_divergence`` is also dumped
 per generator on each pair of ``BAD_WEIGHTS``, batches that are not
 weights, and ``validate_distribution`` on each of ``NOT_WEIGHT_VECTORS``
 and on a generator, inputs that are no weight vector.  Each public entry
-that takes a number (``number_entries``) is dumped with each of
-``not_numbers`` of a valid value in each of its number slots, and
-``chord_slope_gap`` per generator on numpy float32 arguments.  A
-``memoryview`` or a generator is named by a fixed text, since its repr
-holds an address, and a numpy scalar that is no Python float is dumped as
-its type name and its value.  Runs in process and is deterministic.
+that takes a number (``number_entries``, the ``Generator`` record's two
+limits included) is dumped with each of ``not_numbers`` of a valid value in
+each of its number slots, ``chord_slope_gap`` per generator on numpy
+float32 arguments, and ``Generator.evaluate`` per generator on each of
+``NOT_T_ARRAYS``.  A ``memoryview`` or a generator is named by a fixed
+text, since its repr holds an address, an int past float range by its bit
+length, and a numpy scalar that is no Python float is dumped as its type
+name and its value.  Runs in process and is deterministic.
 """
 
 import argparse
@@ -53,6 +55,7 @@ import numpy as np
 from revpinsker import (
     ClassParams,
     Distribution,
+    Generator,
     SearchConfig,
     batch_f_divergence,
     chi2_generator,
@@ -115,7 +118,11 @@ NOT_WEIGHT_VECTORS = ({0.25: 0, 0.75: 0}, {0.75, 0.25}, ["0.5", "0.5"], [b"0.5",
                       [" 1 "], memoryview(b"\x01"), [memoryview(b"1")],
                       array.array("d", [0.5, 0.5]), range(1, 2),
                       [Decimal("0.5"), Decimal("0.5")], [Fraction(1, 2), Fraction(1, 2)],
-                      np.array([0.5, 0.5], dtype=object))
+                      np.array([0.5, 0.5], dtype=object), [0.5, 10**400])
+#: arrays that are no array of t >= 0: text, Fraction, object and complex
+#: items, negative entries and a NaN
+NOT_T_ARRAYS = (["2"], [Fraction(1, 2)], np.array([2.0], dtype=object), [2.0 + 0j],
+                [-1.0], [-2.0], [0.0, math.nan])
 REPORT_FIELDS = ("measured_delta", "measured_m", "measured_M", "deviation_delta",
                  "deviation_m", "deviation_M", "passed", "divergences", "bounds", "gaps")
 
@@ -141,6 +148,8 @@ def shown(arg) -> str:
         return f"memoryview({arg.tobytes()!r})"
     if isinstance(arg, types.GeneratorType):
         return "<generator>"
+    if isinstance(arg, int) and arg.bit_length() > 1024:  # past float range
+        return f"<int of {arg.bit_length()} bits>"
     if isinstance(arg, list):
         return "[" + ", ".join(map(shown, arg)) + "]"
     return repr(arg)
@@ -228,6 +237,9 @@ def number_entries():
         ("simic_kl_bound", (0.5, 2.0), simic_kl_bound),
         ("chord_slope_gap", ("kl", 0.1, 2.0), lambda g, m, M: chord_slope_gap(gens[g], m, M)),
         ("Generator.__call__", ("kl", 2.0), lambda g, t: gens[g](t)),
+        ("Generator.limits", ("tv", 0.5, 0.5),
+         lambda g, *limits: attrgetter("f_at_zero", "slope_at_infinity")(
+             Generator(g, gens[g].fn, *limits))),
         ("hellinger_generator.f_at_zero", (0.5,), lambda a: hellinger_generator(a).f_at_zero),
         ("renyi_bound", (2.0,), lambda alpha: renyi_bound(alpha, params)),
         ("renyi_from_hellinger", (2.0, 0.1), renyi_from_hellinger),
@@ -244,9 +256,9 @@ def number_entries():
 def not_numbers(v: float) -> tuple:
     """Inputs that are no number, most of them standing for v: its text,
     bytes, Decimal, Fraction, mpmath number, complex number, list and 1-D
-    array, then None and text that is no number."""
+    array, then None, text that is no number and an int past float range."""
     return (repr(v), repr(v).encode(), Decimal(repr(v)), Fraction(v), mpmath.mpf(v),
-            complex(v), [v], np.array([v]), None, "a")
+            complex(v), [v], np.array([v]), None, "a", 10**400)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -287,6 +299,9 @@ def main(argv: list[str] | None = None) -> int:
         for gen in gens:
             for m, M in ((np.float32(0.1), 2.0), (0.1, np.float32(2.0))):
                 emit("chord_slope_gap", (gen.name, m, M), lambda: chord_slope_gap(gen, m, M))
+        for gen in gens:
+            for t in NOT_T_ARRAYS:
+                emit("Generator.evaluate", (gen.name, t), lambda: gen.evaluate(t).tolist())
     return 0
 
 

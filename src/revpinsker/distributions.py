@@ -15,17 +15,20 @@ vector (:func:`validate_distribution`) and for a batch
 - a batch is two arrays of those kinds with the same 2-D shape.
 
 Anything else raises EmptyVector: text, a mapping, a set, a
-``memoryview``, an iterator, and ``Decimal``, ``Fraction`` or object items,
-among others.  Then come the value checks: no NaN and no negative weight,
-and for a vector a sum within SUM_TOLERANCE of one.
+``memoryview``, an iterator, ``Decimal``, ``Fraction`` or object items, and
+a Python ``int`` past float range, among others.  Then come the value
+checks: no NaN and no negative weight, and for a vector a sum within
+SUM_TOLERANCE of one.
 
 A number from outside the package (a total variation, a ratio extreme, an
 order, a point t, a tolerance) follows the same rule as one weight, checked
 by ``_real``: a Python or numpy ``bool``, ``int`` or ``float``, or a 0-d
 array of those kinds, taken as a Python float.  Anything else raises
 InvalidParams: text, ``Decimal``, ``Fraction``, an mpmath number, a complex
-number, None and a sequence among others.  Then each entry checks its own
-domain, NaN and +-inf included.
+number, None, a sequence and a Python ``int`` past float range (not rounded
+to +-inf) among others.  Then each entry checks its own domain, NaN and
++-inf included.  An array of points t (``Generator.evaluate``) takes the
+dtype kinds of a weight array.
 """
 
 from __future__ import annotations
@@ -110,7 +113,11 @@ def validate_distribution(weights) -> Distribution:
         weights = (weights,)
     if not (isinstance(weights, (list, tuple)) and weights and all(map(_is_weight, weights))):
         raise EmptyVector("need one weight, or a nonempty list, tuple or 1-D array of weights")
-    return _normalized(tuple(map(float, weights)))
+    try:
+        floats = tuple(map(float, weights))
+    except OverflowError:  # a Python int past float range
+        raise EmptyVector("need weights in float range") from None
+    return _normalized(floats)
 
 
 def _kind(x) -> str | None:
@@ -130,7 +137,10 @@ def _real(x) -> float:
     if type(x) is float:  # nearly every call: the package's own floats
         return x
     if _is_weight(x):
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError:  # a Python int past float range
+            raise InvalidParams(f"a {x.bit_length()}-bit int is past float range") from None
     raise InvalidParams(f"need a bool, int or float, got {x!r}")
 
 

@@ -11,7 +11,7 @@ import functools
 import math
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .distributions import _real
+from .distributions import _WEIGHT_KINDS, _real
 from .errors import FailsAnchorCheck, FailsConvexitySample, InvalidAlpha, InvalidParams, Record
 
 if TYPE_CHECKING:
@@ -32,10 +32,13 @@ class Generator(Record):
     need numpy only for the array; :func:`custom_generator` wraps a
     scalar-only callable once, with ``np.vectorize``.  ``fn`` is only
     called on t > 0: at t = 0 both ``__call__`` and ``evaluate`` return
-    ``f_at_zero``.  ``mp_fn``, when present, takes mpmath numbers, for
-    sweeps beyond float range; a stock generator's is its ``fn``, one
-    formula for floats, arrays and mpmath.  The ``repr``, equality and hash
-    leave it out.
+    ``f_at_zero``.  Both limits are numbers by the number rule of
+    ``revpinsker.distributions`` and must be > -inf, as they are for every
+    convex f with f(1) = 0; -inf, NaN and a limit that is no number raise
+    InvalidParams when the record is built.  ``mp_fn``, when present, takes
+    mpmath numbers, for sweeps beyond float range; a stock generator's is
+    its ``fn``, one formula for floats, arrays and mpmath.  The ``repr``,
+    equality and hash leave it out.
     """
 
     __slots__ = _fields = ("name", "fn", "f_at_zero", "slope_at_infinity", "mp_fn")
@@ -49,6 +52,12 @@ class Generator(Record):
         slope_at_infinity: float,
         mp_fn: Optional[Callable] = None,
     ):
+        f_at_zero, slope_at_infinity = _real(f_at_zero), _real(slope_at_infinity)
+        # written as not (... > -inf) so that a NaN fails the check
+        if not (f_at_zero > -math.inf):
+            raise InvalidParams(f"need f(0+) > -inf, got {f_at_zero!r}")
+        if not (slope_at_infinity > -math.inf):
+            raise InvalidParams(f"need f'(inf) > -inf, got {slope_at_infinity!r}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "f_at_zero", f_at_zero)
@@ -72,17 +81,30 @@ class Generator(Record):
             return math.inf
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
-        """Evaluate f elementwise on an array with t >= 0; entries with
-        t == 0 give the stored limit, and ``fn`` is not called on them.  An
-        array with no zero entry goes to ``fn`` as it is, which must not
+        """Evaluate f elementwise on an array of t >= 0, taken by the weight
+        rule of ``revpinsker.distributions``: an array whose dtype is no
+        bool, int or float kind raises InvalidParams, and the others become
+        float arrays.  A negative or NaN entry raises InvalidParams; entries
+        with t == 0 give the stored limit, and ``fn`` is not called on them.
+        An array of entries all > 0 goes to ``fn`` as it is, which must not
         write to it; the result is a float array."""
         import numpy as np
 
-        t = np.asarray(t, dtype=float)
-        zero = t == 0.0  # not t > 0: a NaN entry stays NaN
-        if not np.count_nonzero(zero):
+        try:
+            t = np.asarray(t)
+        except ValueError:  # a ragged nesting
+            raise InvalidParams("need an array of t, not ragged lists") from None
+        if t.dtype.char != "d":  # a float64 array, the common case, goes as it is
+            if t.dtype.kind not in _WEIGHT_KINDS:
+                raise InvalidParams(f"need an array of bool, int or float t, not {t.dtype}")
+            t = t.astype(float)
+        positive = t > 0.0
+        if np.count_nonzero(positive) == t.size:
             return np.asarray(self.fn(t), dtype=float)
-        return np.where(zero, self.f_at_zero, self.fn(np.where(zero, 1.0, t)))
+        # only an array with an entry not > 0 pays this second pass
+        if np.count_nonzero(t >= 0.0) != t.size:  # a NaN fails this too
+            raise InvalidParams("f is defined on t >= 0, got a negative or NaN entry")
+        return np.where(positive, self.fn(np.where(positive, t, 1.0)), self.f_at_zero)
 
 
 def _kl(t):
@@ -182,16 +204,10 @@ def custom_generator(
 
     Convexity and the f(1) = 0 anchor are sample-checked (64 deterministic
     log-uniform chords); this guards against obvious mistakes, it is not a
-    proof.  Both limits are numbers by the rule of
-    ``revpinsker.distributions`` and must be > -inf, as they are for every
-    convex f with f(1) = 0; -inf, NaN and a limit that is no number raise
-    InvalidParams.  A callable that does not
-    take arrays is wrapped once with ``np.vectorize``, so ``evaluate`` is a
-    direct call either way.
+    proof.  The two limits follow ``Generator``'s rule, checked when the
+    record is built.  A callable that does not take arrays is wrapped once
+    with ``np.vectorize``, so ``evaluate`` is a direct call either way.
     """
-    f_at_zero, slope_at_infinity = _real(f_at_zero), _real(slope_at_infinity)
-    if not (f_at_zero > -math.inf):
-        raise InvalidParams(f"need f(0+) > -inf, got {f_at_zero!r}")
     anchor = float(f(1.0))
     # written as not (... <= ...) so that a NaN fails the check
     if not (abs(anchor) <= ANCHOR_TOLERANCE):
@@ -204,9 +220,6 @@ def custom_generator(
             raise FailsConvexitySample(
                 f"midpoint convexity violated on ({s!r}, {u!r})"
             )
-    # checked after the convexity sample, which reports a concave f first
-    if not (slope_at_infinity > -math.inf):
-        raise InvalidParams(f"need f'(inf) > -inf, got {slope_at_infinity!r}")
     if not _accepts_arrays(f):
         import numpy as np
 

@@ -184,6 +184,15 @@ def test_validate_rejects_mappings_sets_and_text_items(weights):
         validate_distribution(weights)
 
 
+@pytest.mark.parametrize("weights", [[0.5, 10**400], (10**400,), 10**400, [0.5, -10**309]],
+                         ids=["list", "tuple", "one-weight", "negative"])
+def test_validate_rejects_an_int_past_float_range(weights):
+    # float() of such an int raised a bare OverflowError; an object array of
+    # it is already no weight vector, and a list of it is none either
+    with pytest.raises(EmptyVector):
+        validate_distribution(weights)
+
+
 #: inputs the rule accepts, each with the list of floats it equals
 WEIGHTS = {
     "float-list": ([0.5, 0.5], [0.5, 0.5]), "float-tuple": ((0.5, 0.5), [0.5, 0.5]),

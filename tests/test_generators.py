@@ -6,6 +6,7 @@ import pytest
 
 from revpinsker import (
     INF,
+    Generator,
     chi2_generator,
     corollary1_bound,
     custom_generator,
@@ -116,6 +117,15 @@ def test_custom_generator_rejects_minus_inf_and_nan_limits(f_at_zero, slope):
         custom_generator(lambda t: abs(t - 1.0), f_at_zero, slope)
 
 
+@pytest.mark.parametrize("f_at_zero, slope", [(-INF, INF), (1.0, -INF), (math.nan, 1.0),
+                                               (1.0, math.nan)])
+def test_generator_record_rejects_minus_inf_and_nan_limits(f_at_zero, slope):
+    # the record checks its limits itself: vajda_bound gave NaN on
+    # Generator("g", t*t - 1, -inf, inf)
+    with pytest.raises(InvalidParams):
+        Generator("g", lambda t: t * t - 1.0, f_at_zero, slope)
+
+
 def test_corollary1_tv_recovers_cap():
     # the tv bound at the cap is the cap itself, (M-1)(1-m)/(M-m) = 1/3
     assert corollary1_bound(tv_generator(), 0.5, 2.0) == pytest.approx(1 / 3, abs=1e-12)
@@ -170,10 +180,11 @@ def test_array_custom_generator_is_not_wrapped():
     custom_generator(lambda t: -math.log(t), f_at_zero=INF, slope_at_infinity=0.0),
 ], ids=lambda gen: gen.name)
 def test_evaluate_at_zero_returns_the_limit(gen):
-    values = gen.evaluate(np.array([0.0, 2.0, math.nan]))
-    assert values[0] == gen.f_at_zero
+    values = gen.evaluate(np.array([0.0, 2.0, -0.0]))
+    assert values[0] == values[2] == gen.f_at_zero
     assert math.isfinite(values[1])
-    assert math.isnan(values[2])  # masked by t == 0, so NaN stays NaN
+    with pytest.raises(InvalidParams):  # NaN is no t >= 0, as for __call__
+        gen.evaluate(np.array([0.0, 2.0, math.nan]))
 
 
 #: log-spaced t in [1e-300, 1e300], ratios near 1, and the points where

@@ -17,6 +17,7 @@ import pytest
 
 from revpinsker import (
     ClassParams,
+    Generator,
     chi2_generator,
     chord_slope_gap,
     corollary1_bound,
@@ -53,6 +54,7 @@ def _per_generator(name, arity, call):
 #: (name, number of float arguments, call)
 SCALAR_CALLS = [
     *_per_generator("Generator.__call__", 1, lambda gen, t: gen(t)),
+    *_per_generator("Generator.evaluate", 1, lambda gen, t: float(gen.evaluate([t])[0])),
     *_per_generator("chord_slope_gap", 2, chord_slope_gap),
     *_per_generator("corollary1_bound", 2, corollary1_bound),
     *_per_generator("vajda_bound", 1, vajda_bound),
@@ -107,6 +109,9 @@ NUMBER_ENTRIES = [
     ("chord_slope_gap", ("kl", (0.1, 0), (2.0, 2)),
      lambda g, m, M: chord_slope_gap(_GENS[g], m, M)),
     ("Generator.__call__", ("kl", (2.0, 2)), lambda g, t: _GENS[g](t)),
+    ("Generator", ("tv", (0.5, 1), (0.5, 1)),
+     lambda g, f0, f1: attrgetter("f_at_zero", "slope_at_infinity")(
+         Generator(g, _GENS[g].fn, f0, f1))),
     ("check_alpha", ((0.5, 2),), check_alpha),
     ("hellinger_generator", ((0.5, 2),), lambda a: hellinger_generator(a).f_at_zero),
     ("renyi_bound", ((2.0, 2),), lambda alpha: renyi_bound(alpha, _PARAMS)),
@@ -135,10 +140,12 @@ SLOTS = list(_slots())
 
 
 def _not_numbers(v):
-    """Inputs that are no number, most of them standing for the float v."""
+    """Inputs that are no number, most of them standing for the float v; an
+    int past float range is none either, and is not taken as +-inf."""
     return {"text": repr(v), "bytes": repr(v).encode(), "decimal": Decimal(repr(v)),
             "fraction": Fraction(v), "mpf": mpmath.mpf(v), "complex": complex(v),
-            "list": [v], "1-d array": np.array([v]), "none": None, "no-number text": "a"}
+            "list": [v], "1-d array": np.array([v]), "none": None, "no-number text": "a",
+            "int past float range": 10**400}
 
 
 NOT_NUMBER_CASES = {f"{sid}-{kind}": (call, args, i, x)
@@ -191,3 +198,37 @@ def test_chord_slope_gap_of_float32_computes_in_double():
     assert type(value) is float
     assert value == 1.130451570429176
     assert value == chord_slope_gap(kl_generator(), float(np.float32(0.1)), 2.0)
+
+
+# Generator.evaluate takes its array of t by the weight rule's dtype kinds
+# and by the domain rule of Generator.__call__: t >= 0, NaN excluded.
+NOT_T_ARRAYS = {"text": ["2"], "bytes": np.array([b"2"]), "fraction": [Fraction(1, 2)],
+                "decimal": [Decimal("0.5")], "object": np.array([2.0], dtype=object),
+                "complex": [2.0 + 0j], "negative": [2.0, -1.0], "minus-inf": [-math.inf],
+                "nan": [0.0, math.nan], "nan-only": [math.nan], "ragged": [[1.0], [1.0, 2.0]]}
+
+
+@pytest.mark.parametrize("gen", GENERATORS, ids=attrgetter("name"))
+@pytest.mark.parametrize("t", NOT_T_ARRAYS.values(), ids=NOT_T_ARRAYS)
+def test_evaluate_rejects_what_is_no_array_of_t(gen, t):
+    # before version 0.14.0 text and Fraction items were parsed (kl of ["2"]
+    # gave 1.3862943611198906), a negative t gave a value (tv of [-1.0] 1.0)
+    # and a NaN stayed NaN
+    with pytest.raises(InvalidParams):
+        gen.evaluate(t)
+
+
+#: accepted arrays of t, each with the float64 array it equals
+T_ARRAYS = {"bool": [True, False], "int": [0, 1, 2], "uint8": np.array([0, 3], np.uint8),
+            "float32": np.array([0.0, 0.1, 2.0], np.float32),
+            "0-d float": np.array(2.0), "0-d int": np.array(0), "float": 2.0,
+            "2-d": [[0.0, 0.5], [2.0, 4.0]]}
+
+
+@pytest.mark.parametrize("gen", GENERATORS, ids=attrgetter("name"))
+@pytest.mark.parametrize("t", T_ARRAYS.values(), ids=T_ARRAYS)
+def test_evaluate_gives_the_values_of_the_equal_floats(gen, t):
+    got, want = gen.evaluate(t), gen.evaluate(np.asarray(t, dtype=float))
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
